@@ -30,7 +30,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from . import waveform as wfm
-from .eca import DEGENERATE_STEERING_TOL, DegenerateSteeringError
+from .eca import DEGENERATE_STEERING_TOL, DegenerateSteeringError, projected_power
 from .geometry import TargetParams, delay_doppler_jacobian, theta_to_delay_doppler
 from .scene import Scenario, clean_node_signals, node_truth, scenario_waveform
 
@@ -416,12 +416,10 @@ def noise_free_objective(
                 migrating=scenario.migration,
                 carrier=carrier,
             )
-            a = wfm.steering(wf, req)
-            z = a - ctx.u @ (ctx.u.conj().T @ a)
-            denom = float(np.real(z.conj() @ z))
-            if denom < DEGENERATE_STEERING_TOL * float(np.real(a.conj() @ a)):
+            try:
+                total += projected_power(wfm.steering(wf, req), ctx.u, ctx.y_clean)
+            except DegenerateSteeringError:
                 continue
-            total += float(np.abs(z.conj() @ ctx.y_clean) ** 2 / denom)
         return total
 
     if mode == "delay_doppler":

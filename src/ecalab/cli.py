@@ -39,9 +39,8 @@ def _add_common(parser, needs_config=True):
 
 
 def _load(args):
-    scenario, cfg = parse_config(args.config, args.overrides)
-    if args.seed is not None:
-        scenario = scenario.replace(seed=int(args.seed))
+    seed = [] if args.seed is None else [f"seed={int(args.seed)}"]
+    scenario, cfg = parse_config(args.config, args.overrides + seed)
     os.makedirs(args.out, exist_ok=True)
     if args.verbose:
         for k, row in enumerate(scene.snr_report(scenario)):

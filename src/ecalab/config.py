@@ -22,7 +22,6 @@ from .scene import (
     amplitudes_from_radar_equation,
     draw_amplitudes,
 )
-from .seeds import derive_seed  # noqa: F401  (seed management re-export)
 
 
 class ConfigError(ValueError):

@@ -11,7 +11,9 @@ against the cleaned reference-derived steering vector:
 
 with Pi the complement projector.  Scaling of the reference channel cancels
 in both the projector and the quotient, which is why the reference-path
-amplitude never needs to be known.
+amplitude never needs to be known.  Every spectrum value goes through
+:func:`projected_power`, with ``Pi y`` computed once per record or batch
+when its interference basis is built.
 
 Fractional delays of the recorded reference are produced by Kaiser-windowed
 sinc interpolation (half-width 16, beta = 12); on a signal occupying 64% of
@@ -21,9 +23,10 @@ tolerance used by the estimator or the statistical validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import i0
 
 from .scene import NodeRecord
 
@@ -47,14 +50,12 @@ class DelayRangeError(ValueError):
 
 @dataclass(frozen=True)
 class InterferenceBasis:
-    """Interference columns and a thin orthonormal factor of their span."""
+    """Interference columns, a thin orthonormal factor of their span, and
+    the record's surveillance signal with that span removed."""
 
     columns: np.ndarray  # (Q, L+1): [reference window | delayed windows]
     orthonormal: np.ndarray  # (Q, L+1), orthonormal columns, same span
-
-    @property
-    def n_taps(self) -> int:
-        return self.columns.shape[1] - 1
+    y_clean: np.ndarray  # (Q,): Pi y, the cleaned surveillance
 
 
 @dataclass(frozen=True)
@@ -72,42 +73,36 @@ class AmbiguitySurface:
 
 
 def _kaiser_sinc(offsets: np.ndarray) -> np.ndarray:
-    """Interpolation taps at (fractional) offsets from the evaluation point."""
-    w = np.zeros_like(offsets)
-    inside = np.abs(offsets) <= INTERP_HALFWIDTH
-    x = offsets[inside] / INTERP_HALFWIDTH
-    w[inside] = np.i0(KAISER_BETA * np.sqrt(1.0 - x * x)) / np.i0(KAISER_BETA)
-    return np.sinc(offsets) * w
+    """Interpolation taps at (fractional) offsets within the kernel half-width."""
+    x = offsets / INTERP_HALFWIDTH
+    return np.sinc(offsets) * (i0(KAISER_BETA * np.sqrt(1.0 - x * x)) / i0(KAISER_BETA))
+
+
+def _check_support(lo: float, hi: float, size: int) -> None:
+    """Raise :class:`DelayRangeError` unless the kernel stays inside the record."""
+    if not (lo >= INTERP_HALFWIDTH - 1 and hi < size - INTERP_HALFWIDTH):
+        raise DelayRangeError(
+            f"interpolation positions [{lo:.2f}, {hi:.2f}] outside supported "
+            f"range [{INTERP_HALFWIDTH - 1}, {size - INTERP_HALFWIDTH}]"
+        )
 
 
 def interpolate_reference(reference: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Bandlimited interpolation of the reference record at fractional positions.
 
-    ``positions`` are in sample units relative to the first stored sample.
-    Raises :class:`DelayRangeError` when the kernel support would leave the
-    record.
+    ``positions`` are in sample units relative to the first stored sample;
+    every position gets its own taps.  Raises :class:`DelayRangeError` when
+    the kernel support would leave the record.
     """
     positions = np.asarray(positions, dtype=float)
-    W = INTERP_HALFWIDTH
-    lo = W - 1
-    hi = reference.size - W
     if positions.size == 0:
         return np.zeros(0, dtype=complex)
-    if positions.min() < lo or positions.max() > hi:
-        raise DelayRangeError(
-            f"interpolation positions [{positions.min():.2f}, {positions.max():.2f}] "
-            f"outside supported range [{lo}, {hi}]"
-        )
+    _check_support(positions.min(), positions.max(), reference.size)
+    W = INTERP_HALFWIDTH
     base = np.floor(positions).astype(np.int64)
-    frac = positions - base
-    offsets = np.arange(-W + 1, W + 1)
-    starts = base - W + 1
+    taps = _kaiser_sinc((positions - base)[:, None] - np.arange(-W + 1, W + 1))
     windows = np.lib.stride_tricks.sliding_window_view(reference, 2 * W)
-    if np.max(frac) - np.min(frac) < 1e-12:
-        taps = _kaiser_sinc(frac[0] - offsets)
-        return windows[starts] @ taps
-    taps = _kaiser_sinc(frac[:, None] - offsets[None, :])
-    return np.einsum("ij,ij->i", windows[starts], taps)
+    return np.einsum("ij,ij->i", windows[base - W + 1], taps)
 
 
 def interference_basis(record: NodeRecord, n_taps: int) -> InterferenceBasis:
@@ -115,21 +110,20 @@ def interference_basis(record: NodeRecord, n_taps: int) -> InterferenceBasis:
 
     Column l is the reference at the record's sample instants delayed by l
     lattice steps; the orthonormal factor comes from a thin QR with a rank
-    check.
+    check.  The record's surveillance is projected here, once.
     """
     if record.reference.size < record.n_indices.size + n_taps:
         raise ValueError("reference record too short for the requested tap count")
     base = record.max_delay_samples + record.n_indices
-    cols = np.empty((record.n_indices.size, n_taps + 1), dtype=complex)
-    for l in range(n_taps + 1):
-        cols[:, l] = record.reference[base - l]
+    cols = np.column_stack([record.reference[base - l] for l in range(n_taps + 1)])
     q, r = np.linalg.qr(cols, mode="reduced")
     diag = np.abs(np.diag(r))
     if np.min(diag) < RANK_TOL * np.linalg.norm(cols):
         raise RankDeficiencyError(
             f"interference columns are rank deficient (min pivot {np.min(diag):.3e})"
         )
-    return InterferenceBasis(columns=cols, orthonormal=q)
+    y = record.surveillance
+    return InterferenceBasis(columns=cols, orthonormal=q, y_clean=y - q @ (q.conj().T @ y))
 
 
 def project_out(basis: InterferenceBasis, vectors: np.ndarray) -> np.ndarray:
@@ -140,6 +134,36 @@ def project_out(basis: InterferenceBasis, vectors: np.ndarray) -> np.ndarray:
     """
     u = basis.orthonormal
     return vectors - u @ (u.conj().T @ vectors)
+
+
+def _window_steering(record, n_lo, count, tau, omega, migrating, carrier) -> np.ndarray:
+    """Steering at samples ``n_lo .. n_lo+count-1``.  Unless the delay drifts
+    (migration at nonzero Doppler), all samples share the fractional offset
+    of ``tau`` and one set of taps slides over the reference span."""
+    if migrating and not carrier:
+        raise ValueError("migrating steering requires the carrier frequency")
+    if tau < 0:
+        raise DelayRangeError(f"delay must be non-negative, got {tau:.3e} s")
+    dt = record.sample_interval
+    n = np.arange(n_lo, n_lo + count)
+    times = n * dt
+    if migrating and omega != 0.0:
+        lattice = n - tau / dt + (omega / carrier) * times / dt
+        delayed = interpolate_reference(record.reference, record.max_delay_samples + lattice)
+    else:
+        shift = record.max_delay_samples - tau / dt
+        _check_support(shift + n_lo, shift + n_lo + count - 1, record.reference.size)
+        base = int(np.floor(shift))
+        W = INTERP_HALFWIDTH
+        taps = _kaiser_sinc((shift - base) - np.arange(-W + 1, W + 1))
+        start = base + n_lo - W + 1
+        delayed = np.correlate(record.reference[start : start + count + 2 * W - 1], taps, "valid")
+    return delayed * np.exp(1j * omega * times)
+
+
+def _take(window: np.ndarray, n_lo: int, n_indices: np.ndarray) -> np.ndarray:
+    """Samples ``n_indices`` of a window that starts at sample ``n_lo``."""
+    return window if window.size == n_indices.size else window[n_indices - n_lo]
 
 
 def rc_steering(
@@ -153,19 +177,26 @@ def rc_steering(
 
     Fractionally delayed reference samples, Doppler phased; with
     ``migrating`` the delay drifts at the rate implied by the Doppler shift
-    and the carrier.
+    and the carrier, and every sample gets its own interpolation taps.
     """
-    if migrating and not carrier:
-        raise ValueError("migrating steering requires the carrier frequency")
-    if tau < 0:
-        raise DelayRangeError(f"delay must be non-negative, got {tau:.3e} s")
-    times = record.times
-    lattice = record.n_indices - tau / record.sample_interval
-    if migrating:
-        lattice = lattice + (omega / carrier) * times / record.sample_interval
-    positions = record.max_delay_samples + lattice
-    delayed = interpolate_reference(record.reference, positions)
-    return delayed * np.exp(1j * omega * times)
+    n = record.n_indices
+    window = _window_steering(record, n[0], n[-1] - n[0] + 1, tau, omega, migrating, carrier)
+    return _take(window, n[0], n)
+
+
+def projected_power(x: np.ndarray, u: np.ndarray, y_clean: np.ndarray) -> float:
+    """Cleaned cross-ambiguity value ``|x^H y_c|^2 / (||x||^2 - ||U^H x||^2)``.
+
+    ``u`` holds orthonormal interference columns and ``y_clean = Pi y``; as
+    Pi is Hermitian and idempotent this is ``|(Pi x)^H y|^2 / ||Pi x||^2``.
+    Raises :class:`DegenerateSteeringError` under the degenerate tolerance.
+    """
+    xh = x.conj()
+    norm2 = float(np.real(xh @ x))
+    denom = norm2 - float(np.sum(np.abs(xh @ u) ** 2))
+    if denom < DEGENERATE_STEERING_TOL * norm2:
+        raise DegenerateSteeringError(f"cleaned steering energy {denom:.3e} below tolerance")
+    return float(np.abs(xh @ y_clean) ** 2 / denom)
 
 
 def spectrum_value(y: np.ndarray, basis: InterferenceBasis, steer: np.ndarray) -> float:
@@ -175,15 +206,7 @@ def spectrum_value(y: np.ndarray, basis: InterferenceBasis, steer: np.ndarray) -
     falls under the degenerate-steering tolerance (hypothesis inside the
     interference span; callers treating the point as missing add zero).
     """
-    z = project_out(basis, steer)
-    denom = float(np.real(z.conj() @ z))
-    scale = float(np.real(steer.conj() @ steer))
-    if denom < DEGENERATE_STEERING_TOL * scale:
-        raise DegenerateSteeringError(
-            f"cleaned steering energy {denom:.3e} below tolerance"
-        )
-    num = z.conj() @ y
-    return float(np.abs(num) ** 2 / denom)
+    return projected_power(steer, basis.orthonormal, project_out(basis, y))
 
 
 def spectrum_grid(
@@ -194,31 +217,27 @@ def spectrum_grid(
     migrating: bool = False,
     carrier: float = None,
 ) -> AmbiguitySurface:
-    """Spectrum over a full (delay, doppler) grid.
+    """Spectrum over a full (delay, doppler) grid of a record and its basis.
 
-    The surveillance signal is projected once; each delay reuses one
-    interpolated reference slice across all Doppler bins.  Degenerate cells
-    are reported as NaN.
+    Without migration each delay reuses one interpolated reference slice
+    across all Doppler bins; with it every cell builds its own steering.
+    Degenerate cells are reported as NaN.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     omega_grid = np.asarray(omega_grid, dtype=float)
-    times = record.times
-    y_clean = project_out(basis, record.surveillance)
-    u = basis.orthonormal
-    phases = np.exp(1j * np.outer(times, omega_grid))  # (Q, n_omega)
+    u, y_clean = basis.orthonormal, basis.y_clean
+    phases = np.exp(1j * np.outer(record.times, omega_grid))  # (Q, n_omega)
     values = np.full((tau_grid.size, omega_grid.size), np.nan)
     for i, tau in enumerate(tau_grid):
         if migrating:
-            # migration warp varies with omega; fall back to per-cell steering
             for j, omega in enumerate(omega_grid):
                 steer = rc_steering(record, tau, omega, migrating, carrier)
                 try:
-                    values[i, j] = spectrum_value(record.surveillance, basis, steer)
+                    values[i, j] = projected_power(steer, u, y_clean)
                 except DegenerateSteeringError:
                     pass
             continue
-        lattice = record.max_delay_samples + record.n_indices - tau / record.sample_interval
-        xi = interpolate_reference(record.reference, lattice)
+        xi = rc_steering(record, tau, 0.0)
         norm2 = float(np.real(xi.conj() @ xi))
         numer = np.abs((xi.conj() * y_clean) @ phases.conj()) ** 2
         proj = (u.conj().T * xi[None, :]) @ phases  # (L+1, n_omega)
@@ -254,15 +273,7 @@ def batch_split(record: NodeRecord, m_batches: int, mode: str = "consecutive") -
     for m in range(m_batches):
         sel = slice(m * q, (m + 1) * q) if mode == "consecutive" else slice(m, None, m_batches)
         out.append(
-            NodeRecord(
-                reference=record.reference,
-                surveillance=record.surveillance[sel],
-                n_indices=record.n_indices[sel],
-                sample_interval=record.sample_interval,
-                max_delay_samples=record.max_delay_samples,
-                truth=record.truth,
-                node_index=record.node_index,
-            )
+            replace(record, surveillance=record.surveillance[sel], n_indices=record.n_indices[sel])
         )
     return out
 
@@ -277,14 +288,17 @@ def frame_spectrum(
 ) -> float:
     """Incoherent sum of per-batch spectrum values at one hypothesis.
 
-    Cancellation is independent per batch; errors (degenerate steering,
-    out-of-range delay) propagate to the caller.
+    The steering is built once over the node's whole window and each batch
+    takes its own samples; cancellation is independent per batch.  Errors
+    (degenerate steering, out-of-range delay) propagate to the caller.
     """
-    total = 0.0
-    for record, basis in zip(batches, bases):
-        steer = rc_steering(record, tau, omega, migrating, carrier)
-        total += spectrum_value(record.surveillance, basis, steer)
-    return total
+    n_lo = min(b.n_indices[0] for b in batches)
+    n_hi = max(b.n_indices[-1] for b in batches)
+    window = _window_steering(batches[0], n_lo, n_hi - n_lo + 1, tau, omega, migrating, carrier)
+    return sum(
+        projected_power(_take(window, n_lo, b.n_indices), basis.orthonormal, basis.y_clean)
+        for b, basis in zip(batches, bases)
+    )
 
 
 def default_tau_grid(record: NodeRecord, step_cells: float = 0.25) -> np.ndarray:

@@ -152,21 +152,23 @@ def _doppler_cell(scenario: Scenario) -> float:
     return 2 * np.pi / (scenario.n_samples * scenario.sample_interval)
 
 
+def _node_peak(scenario: Scenario, node_data, k: int) -> tuple:
+    """Peak cell of node ``k``'s coarse surface over its first batch."""
+    batches, bases = node_data[k]
+    surface = eca.spectrum_grid(
+        batches[0],
+        bases[0],
+        eca.default_tau_grid(batches[0]),
+        eca.default_omega_grid(batches[0], halfspan_cells=32.0, step_cells=0.5),
+        scenario.migration,
+        scenario.nodes[k].carrier_angular_frequency,
+    )
+    return peak_pick(surface)
+
+
 def _peaks_init_theta(scenario: Scenario, node_data, search_box) -> np.ndarray:
     """Coarse target-state grid seeded by per-node peak cells."""
-    peaks = []
-    for k in range(scenario.n_nodes):
-        batches, bases = node_data[k]
-        surface = eca.spectrum_grid(
-            batches[0],
-            bases[0],
-            eca.default_tau_grid(batches[0]),
-            eca.default_omega_grid(batches[0], halfspan_cells=32.0, step_cells=0.5),
-            scenario.migration,
-            scenario.nodes[k].carrier_angular_frequency,
-        )
-        peaks.append(peak_pick(surface))
-    peaks = np.asarray(peaks)
+    peaks = np.asarray([_node_peak(scenario, node_data, k) for k in range(scenario.n_nodes)])
     (x_lo, x_hi), (y_lo, y_hi) = search_box["position"]
     (vx_lo, vx_hi), (vy_lo, vy_hi) = search_box["speed"]
     n_pos = int(search_box.get("position_points", 15))
@@ -224,16 +226,7 @@ def localize(
         if init == "oracle_truth":
             x0 = truth
         elif init == "per_node_peaks":
-            batches, bases = node_data[0]
-            surface = eca.spectrum_grid(
-                batches[0],
-                bases[0],
-                eca.default_tau_grid(batches[0]),
-                eca.default_omega_grid(batches[0], halfspan_cells=32.0, step_cells=0.5),
-                scenario.migration,
-                scenario.nodes[0].carrier_angular_frequency,
-            )
-            x0 = np.array(peak_pick(surface))
+            x0 = np.array(_node_peak(scenario, node_data, 0))
         else:
             raise ValueError(f"unknown init mode {init!r}")
         scales = np.array([scenario.sample_interval, _doppler_cell(scenario)])

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import analysis, estimator, scene
 from .scene import Scenario
+from .seeds import derive_seed
 
 
 @dataclass(frozen=True)
@@ -219,9 +220,9 @@ def track(
 ) -> list:
     """Independent estimation per sensing interval plus theory ellipses.
 
-    Each interval re-targets the template scene (geometry, amplitudes and
-    noise are reused), runs its own noise trials, and attaches confidence
-    ellipses from the predicted covariance blocks.
+    Each interval re-targets the template scene, runs its own noise trials
+    from base seed ``derive_seed(base_seed, "track", i)``, and attaches
+    confidence ellipses from the predicted covariance blocks.
     """
     out = []
     for i, target in enumerate(interval_targets):
@@ -231,7 +232,7 @@ def track(
             scn,
             trials_per_interval,
             init_mode="oracle_truth",
-            base_seed=base_seed + i,
+            base_seed=derive_seed(base_seed, "track", i),
             mode="theta",
             **estimator_options,
         )

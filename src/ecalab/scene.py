@@ -190,9 +190,9 @@ class NodeRecord:
     """One node's simulated captures plus the truth used to generate them.
 
     ``reference`` covers sample indices ``-max_delay_samples ..
-    n_samples-1+REF_GUARD``; ``surveillance`` covers ``n_indices`` (the full
-    ``0..N-1`` window, or a batch subset after splitting).  The reference
-    array is shared, not copied, across batch views.
+    n_samples-1+REF_GUARD``; ``surveillance`` covers the ascending ``n_indices``
+    (the full ``0..N-1`` window, or a batch subset after splitting).  The
+    reference array is shared, not copied, across batch views.
     """
 
     reference: np.ndarray
@@ -210,10 +210,6 @@ class NodeRecord:
     @property
     def times(self) -> np.ndarray:
         return self.n_indices * self.sample_interval
-
-    def reference_positions(self, delays: np.ndarray) -> np.ndarray:
-        """Map evaluation lattice positions n - delay*Fs to reference indices."""
-        return self.max_delay_samples + delays
 
 
 def node_truth(scenario: Scenario, k: int) -> tuple:

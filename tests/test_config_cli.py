@@ -284,6 +284,18 @@ def test_cli_simulate_waveform_export(tmp_path):
     assert abs(power - 1.0) <= 0.2
 
 
+def test_cli_seed_option_reseeds_the_whole_scene(tmp_path):
+    small = ["--set", "sampling.n_samples=256", "--set", "waveform.master_length=1024",
+             "--set", "sampling.max_delay_samples=40"]
+    by_option, by_override = tmp_path / "option", tmp_path / "override"
+    assert _run(["simulate", "--config", BISTATIC, "--out", str(by_option),
+                 "--seed", "5", *small]) == 0
+    assert _run(["simulate", "--config", BISTATIC, "--out", str(by_override),
+                 "--set", "seed=5", *small]) == 0
+    for name in ("truth.csv", "node_0.csv"):
+        assert (by_option / name).read_bytes() == (by_override / name).read_bytes()
+
+
 def test_cli_estimate_theta_mode_and_verbose(tmp_path, capsys):
     out = tmp_path / "est_theta"
     args = ["estimate", "--config", MULTI, "--out", str(out), "--verbose",

@@ -296,3 +296,104 @@ def test_migrating_rc_steering_tracks_echo():
                             migrating=True, carrier=carrier),
     )
     assert np.linalg.norm(mig - exact) <= 1e-4 * np.linalg.norm(exact)
+
+
+def _per_sample_steering(record, tau, omega, migrating=False, carrier=None):
+    """Reference-derived steering by its definition: every sample gets its own
+    Kaiser-sinc taps, gathered from the reference record.  Positions are
+    formed in extended precision so their fractional parts carry no rounding
+    from the sample index."""
+    w = eca.INTERP_HALFWIDTH
+    n = record.n_indices.astype(np.longdouble)
+    dt = np.longdouble(record.sample_interval)
+    positions = record.max_delay_samples + n - np.longdouble(tau) / dt
+    if migrating:
+        positions = positions + np.longdouble(omega / carrier) * n
+    base = np.floor(positions)
+    frac = np.asarray(positions - base, dtype=float)
+    offsets = frac[:, None] - np.arange(-w + 1, w + 1)
+    x = offsets / w
+    taps = np.sinc(offsets) * np.i0(eca.KAISER_BETA * np.sqrt(1 - x * x)) / np.i0(
+        eca.KAISER_BETA
+    )
+    idx = base.astype(np.int64)[:, None] + np.arange(-w + 1, w + 1)
+    delayed = np.sum(record.reference[idx] * taps, axis=1)
+    return delayed * np.exp(1j * omega * record.times)
+
+
+def _reference_frame_spectrum(batches, bases, tau, omega, migrating=False, carrier=None):
+    total = 0.0
+    for b, basis in zip(batches, bases):
+        z = project_out(basis, _per_sample_steering(b, tau, omega, migrating, carrier))
+        y_clean = project_out(basis, b.surveillance)
+        total += abs(np.vdot(z, y_clean)) ** 2 / np.vdot(z, z).real
+    return total
+
+
+@pytest.mark.parametrize(
+    "m_batches, mode, migration",
+    [(1, "consecutive", False), (4, "consecutive", False), (4, "sparse", False),
+     (4, "sparse", True), (1, "consecutive", True)],
+)
+def test_frame_spectrum_matches_per_batch_definition(m_batches, mode, migration):
+    scn = dd_scene(n_samples=512, omega_cells=5.5, m_batches=m_batches,
+                   batch_mode=mode, migration=migration)
+    _, records = simulate(scn)
+    rec = records[0]
+    carrier = scn.nodes[0].carrier_angular_frequency
+    batches = batch_split(rec, m_batches, mode)
+    bases = [interference_basis(b, scn.clutter_taps) for b in batches]
+    rng = np.random.default_rng(m_batches + 10 * migration)
+    cell = doppler_cell(scn.n_samples)
+    for _ in range(6):
+        tau = rec.truth[0] + rng.uniform(-3, 3) * DT
+        omega = rec.truth[1] + rng.uniform(-3, 3) * cell
+        got = frame_spectrum(batches, bases, tau, omega, migration, carrier)
+        want = _reference_frame_spectrum(batches, bases, tau, omega, migration, carrier)
+        assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_rc_steering_long_record_matches_per_sample_definition():
+    # at N=65,536 the float positions n - tau*Fs spread their fractional
+    # parts by ~7e-12; the steering still shares the offset of tau
+    scn = dd_scene(sc_var=0.0, n_samples=65536, master=262144, max_delay=64,
+                   tau_cells=23.37, omega_cells=37.3)
+    _, records = simulate(scn)
+    rec = records[0]
+    tau, omega = rec.truth[:2]
+    positions = rec.max_delay_samples + (rec.n_indices - tau / DT)
+    frac = positions - np.floor(positions)
+    assert np.ptp(frac) > 1e-12
+    got = rc_steering(rec, tau, omega)
+    want = _per_sample_steering(rec, tau, omega)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_migrating_steering_at_zero_doppler_matches_per_sample_definition(small_scene):
+    _, records = simulate(small_scene)
+    rec = records[0]
+    carrier = small_scene.nodes[0].carrier_angular_frequency
+    for tau in (3.3 * DT, 9.0 * DT, 20.61 * DT):
+        got = rc_steering(rec, tau, 0.0, migrating=True, carrier=carrier)
+        want = _per_sample_steering(rec, tau, 0.0, migrating=True, carrier=carrier)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("migrating", [False, True])
+def test_grid_cells_equal_spectrum_value(small_scene, migrating):
+    _, records = simulate(small_scene)
+    rec = records[0]
+    carrier = small_scene.nodes[0].carrier_angular_frequency
+    basis = interference_basis(rec, small_scene.clutter_taps)
+    tau_grid = np.array([3.0, 7.75, 12.4]) * DT
+    omega_grid = np.array([-2.5, 0.0, 1.0, 4.2]) * doppler_cell(small_scene.n_samples)
+    surface = spectrum_grid(rec, basis, tau_grid, omega_grid, migrating, carrier)
+    for i, tau in enumerate(tau_grid):
+        for j, omega in enumerate(omega_grid):
+            steer = rc_steering(rec, tau, omega, migrating, carrier)
+            try:
+                direct = spectrum_value(rec.surveillance, basis, steer)
+            except DegenerateSteeringError:
+                assert np.isnan(surface.values[i, j])
+                continue
+            assert surface.values[i, j] == pytest.approx(direct, rel=1e-10)

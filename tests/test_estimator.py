@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -252,3 +257,37 @@ def test_migrating_echo_estimated_exactly_where_static_fails():
     assert abs(rep.params[0] - tau0) <= 1e-6 * DT
     rep_static = localize(scn.replace(migration=False), records, mode="delay_doppler")
     assert abs(rep_static.params[0] - tau0) > 0.5 * DT
+
+
+_LOCALIZE_SCRIPT = """
+import json, sys
+import numpy as np
+from ecalab import config, estimator, scene
+scn, _ = config.parse_config(sys.argv[1])
+_, records = scene.simulate(scn)
+report = estimator.localize(scn, records)
+cell = 2 * np.pi / (scn.n_samples * scn.sample_interval)
+scaled = report.params / np.array([scn.sample_interval, cell])
+print(json.dumps({"scaled": scaled.tolist(), "objective": report.objective}))
+"""
+
+
+def test_localize_agrees_across_blas_thread_counts():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    config_path = os.path.join(root, "scenarios", "bistatic_example.yaml")
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    )
+    results = []
+    for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        run = subprocess.run(
+            [sys.executable, "-c", _LOCALIZE_SCRIPT, config_path],
+            env={**base, **extra}, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        results.append(json.loads(run.stdout.strip().splitlines()[-1]))
+    single, default = results
+    assert np.allclose(single["scaled"], default["scaled"], rtol=0, atol=1e-8)
+    assert default["objective"] == pytest.approx(single["objective"], rel=1e-10)

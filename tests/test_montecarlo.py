@@ -144,6 +144,26 @@ def test_track_intervals_and_ellipses():
     assert not np.allclose(results[0].truth, results[1].truth)
 
 
+def test_track_intervals_draw_noise_apart_from_other_seeds(monkeypatch):
+    # interval 1 of base seed 3 and interval 0 of base seed 4 must not share
+    # noise streams
+    scn = multistatic_scene(n_samples=256, master=2048)
+    seeds = []
+
+    def record_seed(scenario, n_trials, base_seed=None, **kwargs):
+        seeds.append(base_seed)
+        return []
+
+    monkeypatch.setattr(montecarlo, "run_trials", record_seed)
+    target = TargetParams(10.0, 10.0, 100.0, 100.0)
+    track(scn, [target, target], trials_per_interval=1, base_seed=3)
+    track(scn, [target], trials_per_interval=1, base_seed=4)
+    wf = scene.scenario_waveform(scn)
+    first, second = (scene.synthesize_node(scn, wf, 0, 0, s) for s in (seeds[1], seeds[2]))
+    assert not np.allclose(first.surveillance, second.surveillance)
+    assert not np.allclose(first.reference, second.reference)
+
+
 def test_track_zero_noise_lies_on_trajectory():
     scn = multistatic_scene(n_samples=256, master=2048,
                             sc_noise_var=0.0, rc_noise_var=0.0)
