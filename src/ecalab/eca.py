@@ -19,10 +19,18 @@ Fractional delays of the recorded reference are produced by Kaiser-windowed
 sinc interpolation (half-width 16, beta = 12); on a signal occupying 64% of
 the Nyquist band its relative error is below -120 dB, far under every
 tolerance used by the estimator or the statistical validation.
+
+The estimator's products are small (a few thousand samples against a few
+interference columns): a second BLAS thread costs more than it saves, and
+its scheduling ties each evaluation's time to other load on the machine, so
+the estimator runs under :func:`single_threaded_blas`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,6 +78,44 @@ class AmbiguitySurface:
     def __post_init__(self):
         if self.values.shape != (len(self.tau_grid), len(self.omega_grid)):
             raise ValueError("values shape must match the grids")
+
+
+@functools.cache
+def _blas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS in this process.
+
+    The libraries are found in the process's memory map (Linux); elsewhere,
+    or for another BLAS, there are none and threading is left alone.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(None, 5)[-1].strip() for line in fh if "openblas" in line})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("openblas", "scipy_openblas"):
+            for suffix in ("", "64_"):
+                get = getattr(lib, f"{name}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{name}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    controls.append((get, put))
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def single_threaded_blas():
+    """Run the enclosed calls (or the decorated function) with one BLAS
+    thread; the previous thread counts are restored on exit."""
+    saved = [(put, get()) for get, put in _blas_thread_controls()]
+    for put, _ in saved:
+        put(1)
+    try:
+        yield
+    finally:
+        for put, count in saved:
+            put(count)
 
 
 def _kaiser_sinc(offsets: np.ndarray) -> np.ndarray:
@@ -226,7 +272,8 @@ def spectrum_grid(
     tau_grid = np.asarray(tau_grid, dtype=float)
     omega_grid = np.asarray(omega_grid, dtype=float)
     u, y_clean = basis.orthonormal, basis.y_clean
-    phases = np.exp(1j * np.outer(record.times, omega_grid))  # (Q, n_omega)
+    if not migrating:
+        phases = np.exp(1j * np.outer(record.times, omega_grid))  # (Q, n_omega)
     values = np.full((tau_grid.size, omega_grid.size), np.nan)
     for i, tau in enumerate(tau_grid):
         if migrating:

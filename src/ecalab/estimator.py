@@ -195,6 +195,7 @@ def _peaks_init_theta(scenario: Scenario, node_data, search_box) -> np.ndarray:
     return best
 
 
+@eca.single_threaded_blas()
 def localize(
     scenario: Scenario,
     records: list,

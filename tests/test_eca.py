@@ -397,3 +397,13 @@ def test_grid_cells_equal_spectrum_value(small_scene, migrating):
                 assert np.isnan(surface.values[i, j])
                 continue
             assert surface.values[i, j] == pytest.approx(direct, rel=1e-10)
+
+
+def test_single_threaded_blas_sets_one_thread_and_restores():
+    controls = eca._blas_thread_controls()
+    before = [get() for get, _ in controls]
+    with pytest.raises(RuntimeError):
+        with eca.single_threaded_blas():
+            assert [get() for get, _ in controls] == [1] * len(controls)
+            raise RuntimeError
+    assert [get() for get, _ in controls] == before
