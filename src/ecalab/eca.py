@@ -18,7 +18,10 @@ when its interference basis is built.
 Fractional delays of the recorded reference are produced by Kaiser-windowed
 sinc interpolation (half-width 16, beta = 12); on a signal occupying 64% of
 the Nyquist band its relative error is below -120 dB, far under every
-tolerance used by the estimator or the statistical validation.
+tolerance used by the estimator or the statistical validation.  A delay
+that does not drift shares one set of taps over all samples; a migrating
+delay needs taps per sample, and a migrating surface computes them once per
+Doppler bin for all delay rows a whole number of samples apart.
 
 The estimator's products are small (a few thousand samples against a few
 interference columns): a second BLAS thread costs more than it saves, and
@@ -42,6 +45,11 @@ INTERP_HALFWIDTH = 16
 KAISER_BETA = 12.0
 RANK_TOL = 1e-10
 DEGENERATE_STEERING_TOL = 1e-8
+# Migrating grid rows share per-sample taps when their delays differ by whole
+# samples to within this many samples; the gathered reference of one chunk of
+# rows stays under the byte budget.
+SHARED_TAPS_TOL = 1e-12
+GATHER_BUDGET_BYTES = 1 << 25
 
 
 class RankDeficiencyError(ValueError):
@@ -133,6 +141,18 @@ def _check_support(lo: float, hi: float, size: int) -> None:
         )
 
 
+def _sample_taps(positions: np.ndarray) -> tuple:
+    """Lower sample index and Kaiser-sinc taps, (size, 2*W), of every position."""
+    base = np.floor(positions).astype(np.int64)
+    offsets = (positions - base)[:, None] - np.arange(-INTERP_HALFWIDTH + 1, INTERP_HALFWIDTH + 1)
+    return base, _kaiser_sinc(offsets)
+
+
+def _windows(reference: np.ndarray) -> np.ndarray:
+    """Every run of 2*W consecutive reference samples, as a strided view."""
+    return np.lib.stride_tricks.sliding_window_view(reference, 2 * INTERP_HALFWIDTH)
+
+
 def interpolate_reference(reference: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Bandlimited interpolation of the reference record at fractional positions.
 
@@ -144,11 +164,8 @@ def interpolate_reference(reference: np.ndarray, positions: np.ndarray) -> np.nd
     if positions.size == 0:
         return np.zeros(0, dtype=complex)
     _check_support(positions.min(), positions.max(), reference.size)
-    W = INTERP_HALFWIDTH
-    base = np.floor(positions).astype(np.int64)
-    taps = _kaiser_sinc((positions - base)[:, None] - np.arange(-W + 1, W + 1))
-    windows = np.lib.stride_tricks.sliding_window_view(reference, 2 * W)
-    return np.einsum("ij,ij->i", windows[base - W + 1], taps)
+    base, taps = _sample_taps(positions)
+    return np.einsum("ij,ij->i", _windows(reference)[base - INTERP_HALFWIDTH + 1], taps)
 
 
 def interference_basis(record: NodeRecord, n_taps: int) -> InterferenceBasis:
@@ -255,6 +272,79 @@ def spectrum_value(y: np.ndarray, basis: InterferenceBasis, steer: np.ndarray) -
     return projected_power(steer, basis.orthonormal, project_out(basis, y))
 
 
+def _shared_tap_groups(delays: np.ndarray) -> list:
+    """Split delay rows (in samples) into groups whose members differ from
+    the group's first row by whole samples, to within ``SHARED_TAPS_TOL``.
+
+    Returns ``(rows, whole)`` pairs: the rows of a group and their whole-sample
+    offsets from its first row.  Offsets are compared modulo 1, so fractional
+    parts just below 1 and just above 0 fall in one group.
+    """
+    groups = []
+    free = np.ones(delays.size, dtype=bool)
+    while free.any():
+        first = np.flatnonzero(free)[0]
+        diff = delays - delays[first]
+        whole = np.rint(diff)
+        rows = np.flatnonzero(free & (np.abs(diff - whole) <= SHARED_TAPS_TOL))
+        free[rows] = False
+        groups.append((rows, whole[rows].astype(np.int64)))
+    return groups
+
+
+def _migrating_steering(record, tau_grid, omega, carrier):
+    """Migrating steering vectors of every delay row at one Doppler, yielded
+    as ``(rows, x)`` chunks with ``x`` of shape (rows, Q).
+
+    Rows whose delays differ by whole samples share one set of per-sample
+    taps and only shift their gather; a chunk gathers at most
+    ``GATHER_BUDGET_BYTES`` of reference windows.  At zero Doppler the delay
+    does not drift: a group's rows share one common offset and are slices of
+    one correlation.
+    """
+    if tau_grid.size and tau_grid.min() < 0:
+        raise DelayRangeError(f"delay must be non-negative, got {tau_grid.min():.3e} s")
+    W = INTERP_HALFWIDTH
+    n = record.n_indices
+    dt = record.sample_interval
+    times = n * dt
+    drift = (omega / carrier) * times / dt
+    phase = np.exp(1j * omega * times)
+    windows = _windows(record.reference)
+    chunk = max(1, GATHER_BUDGET_BYTES // (windows[0].nbytes * n.size))
+    delays = tau_grid / dt
+    for rows, whole in _shared_tap_groups(delays):
+        positions = record.max_delay_samples + (n - delays[rows[0]] + drift)
+        _check_support(
+            positions.min() - whole.max(), positions.max() - whole.min(), record.reference.size
+        )
+        if omega == 0.0:
+            (base,), (taps,) = _sample_taps(np.array([record.max_delay_samples - delays[rows[0]]]))
+            lo = base + n[0] - whole.max() - W + 1
+            span = record.reference[lo : base + n[-1] - whole.min() + W + 1]
+            corr = np.correlate(span, taps, "valid")  # window starting at lo + m
+            starts = base + n - W + 1 - lo
+            for i in range(0, rows.size, chunk):
+                yield rows[i : i + chunk], corr[starts - whole[i : i + chunk, None]]
+            continue
+        base, taps = _sample_taps(positions)
+        for i in range(0, rows.size, chunk):
+            start = base - W + 1 - whole[i : i + chunk, None]
+            yield rows[i : i + chunk], np.einsum("rqt,qt->rq", windows[start], taps) * phase
+
+
+def _stacked_power(x: np.ndarray, basis: InterferenceBasis) -> np.ndarray:
+    """:func:`projected_power` of each row of ``x`` through matrix products;
+    NaN where the steering is degenerate."""
+    xh = x.conj()
+    norm2 = np.einsum("rq,rq->r", xh, x).real
+    denom = norm2 - np.sum(np.abs(xh @ basis.orthonormal) ** 2, axis=1)
+    ok = denom >= DEGENERATE_STEERING_TOL * norm2
+    values = np.full(x.shape[0], np.nan)
+    values[ok] = np.abs(xh[ok] @ basis.y_clean) ** 2 / denom[ok]
+    return values
+
+
 def spectrum_grid(
     record: NodeRecord,
     basis: InterferenceBasis,
@@ -265,38 +355,36 @@ def spectrum_grid(
 ) -> AmbiguitySurface:
     """Spectrum over a full (delay, doppler) grid of a record and its basis.
 
-    Without migration each delay reuses one interpolated reference slice
-    across all Doppler bins; with it every cell builds its own steering.
-    Degenerate cells are reported as NaN.
+    Without migration each delay reuses one common-offset interpolated
+    reference slice across all Doppler bins.  With migration each Doppler
+    bin takes one pass over all delays: rows whose delays differ by whole
+    samples (to within ``SHARED_TAPS_TOL`` = 1e-12 samples) share one set of
+    per-sample Kaiser-sinc taps (at zero Doppler, where the delay does not
+    drift, one common-offset correlation), and the rows' steering vectors
+    are evaluated together through matrix products.  Degenerate cells are
+    reported as NaN.
     """
+    if migrating and not carrier:
+        raise ValueError("migrating steering requires the carrier frequency")
     tau_grid = np.asarray(tau_grid, dtype=float)
     omega_grid = np.asarray(omega_grid, dtype=float)
-    u, y_clean = basis.orthonormal, basis.y_clean
-    if not migrating:
-        phases = np.exp(1j * np.outer(record.times, omega_grid))  # (Q, n_omega)
     values = np.full((tau_grid.size, omega_grid.size), np.nan)
+    if migrating:
+        for j, omega in enumerate(omega_grid):
+            for rows, x in _migrating_steering(record, tau_grid, omega, carrier):
+                values[rows, j] = _stacked_power(x, basis)
+        return AmbiguitySurface(tau_grid, omega_grid, values, record.node_index)
+    uh, y_clean = basis.orthonormal.conj().T, basis.y_clean
+    phases = np.exp(1j * np.outer(record.times, omega_grid))  # (Q, n_omega)
     for i, tau in enumerate(tau_grid):
-        if migrating:
-            for j, omega in enumerate(omega_grid):
-                steer = rc_steering(record, tau, omega, migrating, carrier)
-                try:
-                    values[i, j] = projected_power(steer, u, y_clean)
-                except DegenerateSteeringError:
-                    pass
-            continue
         xi = rc_steering(record, tau, 0.0)
         norm2 = float(np.real(xi.conj() @ xi))
         numer = np.abs((xi.conj() * y_clean) @ phases.conj()) ** 2
-        proj = (u.conj().T * xi[None, :]) @ phases  # (L+1, n_omega)
+        proj = (uh * xi[None, :]) @ phases  # (L+1, n_omega)
         denom = norm2 - np.sum(np.abs(proj) ** 2, axis=0)
         ok = denom > DEGENERATE_STEERING_TOL * norm2
         values[i, ok] = numer[ok] / denom[ok]
-    return AmbiguitySurface(
-        tau_grid=tau_grid,
-        omega_grid=omega_grid,
-        values=values,
-        node_index=record.node_index,
-    )
+    return AmbiguitySurface(tau_grid, omega_grid, values, record.node_index)
 
 
 def batch_split(record: NodeRecord, m_batches: int, mode: str = "consecutive") -> list:

@@ -10,8 +10,9 @@ simulation/theory side of the laboratory.
 
 Evaluation picks the cheapest exact path available: direct indexing of the
 cached time series for on-lattice times, one phase-shifted inverse FFT for a
-common fractional offset, and a chunked bin sum for arbitrary time sets
-(range migration).
+common fractional offset (offsets compared modulo 1, to within 1e-9
+samples), and for arbitrary time sets (range migration) a sum over the bins
+whose exponentials factor into two small tables per time.
 """
 
 from __future__ import annotations
@@ -22,7 +23,11 @@ import numpy as np
 
 # Times used in one experiment must stay within half a period on either
 # side of zero so that no two evaluation times alias modulo the period.
-_LATTICE_TOL = 1e-6
+# Sample positions within this many samples of a common fractional offset
+# (or of the lattice) share it: rounding-level, so every sample stays exact.
+_LATTICE_TOL = 1e-9
+# Width of the inner exponential table of the bin sum.
+_BIN_BLOCK = 64
 
 
 class WindowOverrunError(ValueError):
@@ -119,31 +124,49 @@ def _eval_times(wf: MasterWaveform, eval_times: np.ndarray, derivative: bool) ->
     rounded = np.round(pos)
     if np.max(np.abs(pos - rounded)) < _LATTICE_TOL and not derivative:
         return wf.time_series[rounded.astype(np.int64) % wf.master_length]
-    base = np.floor(pos)
-    frac = pos - base
-    if np.max(np.abs(frac - frac[0])) < _LATTICE_TOL:
+    # offsets are compared modulo 1: a position at n + 0.99999... shares the
+    # offset 0 of its neighbours, at sample n + 1
+    frac = pos[0] - np.floor(pos[0])
+    shifted = pos - frac
+    nearest = np.round(shifted)
+    if np.max(np.abs(shifted - nearest)) < _LATTICE_TOL:
         # common fractional offset: one phase-shifted inverse FFT, then gather
         spec = wf.bin_amplitudes
         if derivative:
             spec = spec * (2j * np.pi * wf.bin_frequencies)
-        shift = np.exp(2j * np.pi * wf.bin_frequencies * frac[0] / wf.sample_rate)
+        shift = np.exp(2j * np.pi * wf.bin_frequencies * frac / wf.sample_rate)
         series = np.sqrt(wf.master_length) * np.fft.ifft(spec * shift)
-        return series[base.astype(np.int64) % wf.master_length]
+        return series[nearest.astype(np.int64) % wf.master_length]
     return _bin_sum(wf, eval_times, derivative)
 
 
 def _bin_sum(wf: MasterWaveform, eval_times: np.ndarray, derivative: bool) -> np.ndarray:
-    mask = wf.bin_amplitudes != 0
-    freqs = wf.bin_frequencies[mask]
-    amps = wf.bin_amplitudes[mask]
+    """Direct sum over the nonzero bins at arbitrary times.
+
+    Bin ``k = k0 + B*a + b`` (``0 <= b < B``) factors its exponential as
+    ``E_a(t) * F_b(t)``, so each chunk of times takes ``B + n_a``
+    exponentials per time, one (times x B) @ (B x n_a) product and a
+    row-wise dot, instead of one exponential per time and bin.
+    """
+    nonzero = wf.bin_amplitudes != 0
+    freqs = wf.bin_frequencies[nonzero]
+    amps = wf.bin_amplitudes[nonzero]
     if derivative:
         amps = amps * (2j * np.pi * freqs)
+    df = wf.bin_frequencies[1]
+    k = np.rint(freqs / df).astype(np.int64)
+    a, b = np.divmod(k - k.min(), _BIN_BLOCK)
+    table = np.zeros((_BIN_BLOCK, a.max() + 1), dtype=complex)
+    table[b, a] = amps
+    outer = 2j * np.pi * ((k.min() + _BIN_BLOCK * np.arange(table.shape[1])) * df)
+    inner = 2j * np.pi * (np.arange(_BIN_BLOCK) * df)
     out = np.empty(eval_times.shape, dtype=complex)
-    chunk = max(1, int(4e6 // max(freqs.size, 1)))
+    chunk = max(1, int(1e6 // (_BIN_BLOCK + table.shape[1])))
     norm = 1.0 / np.sqrt(wf.master_length)
     for i in range(0, eval_times.size, chunk):
-        t = eval_times[i : i + chunk]
-        out[i : i + chunk] = np.exp(2j * np.pi * np.outer(t, freqs)) @ amps * norm
+        t = eval_times[i : i + chunk, None]
+        inner_sum = np.exp(t * inner) @ table
+        out[i : i + chunk] = np.einsum("ij,ij->i", inner_sum, np.exp(t * outer)) * norm
     return out
 
 

@@ -399,6 +399,50 @@ def test_grid_cells_equal_spectrum_value(small_scene, migrating):
             assert surface.values[i, j] == pytest.approx(direct, rel=1e-10)
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("tau_step", [1.0, 0.25, 0.3])
+def test_migrating_grid_matches_per_cell_definition(small_scene, tau_step, sparse, monkeypatch):
+    # whole-sample rows share one set of taps, quarter-sample rows four, and
+    # 0.3-sample rows ten; the 1e-3 rad/s column is degenerate at delays on
+    # the interference lattice (0..3 samples).  The gather budget holds five
+    # rows, so groups span several chunks.  A sparse batch view has every
+    # fourth sample.
+    _, records = simulate(small_scene)
+    rec = batch_split(records[0], 4, "sparse")[1] if sparse else records[0]
+    monkeypatch.setattr(eca, "GATHER_BUDGET_BYTES", 5 * 32 * 16 * rec.n_indices.size)
+    carrier = small_scene.nodes[0].carrier_angular_frequency
+    basis = interference_basis(rec, small_scene.clutter_taps)
+    tau_grid = np.arange(0.0, 21.0, tau_step) * DT
+    omega_grid = np.array([-7.5, -1.0, 0.0, 1e-3 / doppler_cell(small_scene.n_samples), 2.2])
+    omega_grid = omega_grid * doppler_cell(small_scene.n_samples)
+    surface = spectrum_grid(rec, basis, tau_grid, omega_grid, True, carrier)
+    want = np.full(surface.values.shape, np.nan)
+    for i, tau in enumerate(tau_grid):
+        for j, omega in enumerate(omega_grid):
+            steer = rc_steering(rec, tau, omega, True, carrier)
+            try:
+                want[i, j] = eca.projected_power(steer, basis.orthonormal, basis.y_clean)
+            except DegenerateSteeringError:
+                pass
+    assert np.isnan(want[0, 3]) and not np.isnan(want[:, 4]).any()
+    assert np.array_equal(np.isnan(surface.values), np.isnan(want))
+    ok = ~np.isnan(want)
+    assert np.all(np.abs(surface.values[ok] - want[ok]) <= 1e-10 * want[ok])
+
+
+@pytest.mark.parametrize("omega_cells", [np.array([0.0, 2.0]), np.array([2.0])])
+@pytest.mark.parametrize("tau_samples", [-0.5, 26.0])
+def test_migrating_grid_rejects_unsupported_delays(small_scene, omega_cells, tau_samples):
+    _, records = simulate(small_scene)
+    rec = records[0]
+    basis = interference_basis(rec, small_scene.clutter_taps)
+    tau_grid = np.array([5.0, tau_samples]) * DT
+    omega_grid = omega_cells * doppler_cell(small_scene.n_samples)
+    carrier = small_scene.nodes[0].carrier_angular_frequency
+    with pytest.raises(DelayRangeError):
+        spectrum_grid(rec, basis, tau_grid, omega_grid, True, carrier)
+
+
 def test_single_threaded_blas_sets_one_thread_and_restores():
     controls = eca._blas_thread_controls()
     before = [get() for get, _ in controls]

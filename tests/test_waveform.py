@@ -87,6 +87,62 @@ def test_window_overrun_detected():
     times = np.arange(400) * DT
     with pytest.raises(WindowOverrunError):
         wfm.evaluate(wf, SteeringRequest(delay=0.0, doppler=0.0, times=times))
+    # the same times on the bin-sum path (migrating delay)
+    with pytest.raises(WindowOverrunError):
+        wfm.evaluate(wf, SteeringRequest(delay=2.3 * DT, doppler=3e6, times=times,
+                                         migrating=True, carrier=2 * np.pi * 600e6))
+
+
+def _direct_bin_sum(wf, times, derivative):
+    """The waveform by its definition: one exponential per time and bin."""
+    nonzero = wf.bin_amplitudes != 0
+    freqs = wf.bin_frequencies[nonzero]
+    amps = wf.bin_amplitudes[nonzero]
+    if derivative:
+        amps = amps * (2j * np.pi * freqs)
+    return np.exp(2j * np.pi * np.outer(times, freqs)) @ amps / np.sqrt(wf.master_length)
+
+
+@pytest.mark.parametrize("derivative", [False, True])
+@pytest.mark.parametrize("master", [1024, 8192])
+def test_bin_sum_matches_direct_sum(master, derivative):
+    wf = wfm.generate(17, 16e6, FS, master)
+    rng = np.random.default_rng(master)
+    times = rng.uniform(-0.49, 0.49, 1500) * wf.period  # unsorted, off the lattice
+    got = wfm._bin_sum(wf, times, derivative)
+    want = _direct_bin_sum(wf, times, derivative)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_common_offset_wraps_modulo_one(monkeypatch):
+    # t_n = n / Fs gives positions n*(1 +- ulp): fractional parts straddle 0
+    wf = wfm.generate(37, 16e6, FS, 4096)
+    times = np.arange(1024) / FS
+    frac = times * FS - np.floor(times * FS)
+    assert frac.max() > 0.5
+    reference = wfm._bin_sum
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return reference(*args)
+
+    monkeypatch.setattr(wfm, "_bin_sum", spy)
+    for samples in (0, 3, 17):
+        req = SteeringRequest(delay=samples * DT, doppler=2e4, times=times)
+        got = wfm.steering_jacobian(wf, req)[:, 0]
+        want = -reference(wf, times - req.delay, True) * wfm.dft_vector(req.doppler, times)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert calls == []
+
+
+def test_near_lattice_delay_is_not_snapped():
+    wf = wfm.generate(41, 16e6, FS, 2048)
+    times = np.arange(300) * DT
+    tau = (3 + 5e-7) * DT
+    got = wfm.evaluate(wf, SteeringRequest(delay=tau, doppler=0.0, times=times))
+    want = _direct_bin_sum(wf, times - tau, derivative=False)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_fractional_delay_matches_bin_sum():
