@@ -32,7 +32,14 @@ from scipy.stats import chi2
 from . import waveform as wfm
 from .eca import DEGENERATE_STEERING_TOL, DegenerateSteeringError, projected_power
 from .geometry import TargetParams, delay_doppler_jacobian, theta_to_delay_doppler
-from .scene import Scenario, clean_node_signals, node_truth, scenario_waveform
+from .scene import (
+    Scenario,
+    batch_slices,
+    clean_node_signals,
+    lagged_columns,
+    node_truth,
+    scenario_waveform,
+)
 
 
 class UnidentifiableScenarioError(ValueError):
@@ -149,29 +156,6 @@ def default_mode(scenario: Scenario) -> str:
     return "delay_doppler" if scenario.n_nodes == 1 else "theta"
 
 
-def _batch_index_sets(scenario: Scenario) -> list:
-    n = np.arange(scenario.n_samples)
-    m = scenario.m_batches
-    if m == 1:
-        return [n]
-    q = scenario.n_samples // m
-    if scenario.batch_mode == "consecutive":
-        return [n[i * q : (i + 1) * q] for i in range(m)]
-    return [n[i::m] for i in range(m)]
-
-
-def _interference_columns(
-    scenario: Scenario, wf: wfm.MasterWaveform, nb: np.ndarray
-) -> np.ndarray:
-    """True-waveform interference columns at the batch sample instants."""
-    L = scenario.clutter_taps
-    P = scenario.master_length
-    cols = np.empty((nb.size, L + 1), dtype=complex)
-    for l in range(L + 1):
-        cols[:, l] = wf.time_series[(nb - l) % P]
-    return cols
-
-
 @dataclass(frozen=True)
 class _BatchContext:
     u: np.ndarray  # orthonormal interference span
@@ -190,9 +174,13 @@ def _node_contexts(
     mode: str,
     with_clean_signal: bool = False,
 ) -> list:
+    """Per-batch theory context of node ``k`` (None where its echo is canceled).
+
+    The steering and its Jacobian are evaluated once over the node's whole
+    window; each batch takes its own samples.
+    """
     amp = scenario.amplitudes[k]
     tau, omega = node_truth(scenario, k)
-    carrier = scenario.nodes[k].carrier_angular_frequency
     geom = None
     if mode == "theta":
         if scenario.truth_delay_doppler is not None:
@@ -201,19 +189,20 @@ def _node_contexts(
     clean_surv = None
     if with_clean_signal:
         _, clean_surv = clean_node_signals(scenario, wf, k)
+    n = np.arange(scenario.n_samples)
+    req = wfm.SteeringRequest(
+        delay=tau,
+        doppler=omega,
+        times=scenario.surveillance_times(),
+        migrating=scenario.migration,
+        carrier=scenario.nodes[k].carrier_angular_frequency,
+    )
+    steer = wfm.steering(wf, req)
+    jacobian = wfm.steering_jacobian(wf, req, geom)
     out = []
-    for nb in _batch_index_sets(scenario):
-        times = nb * scenario.sample_interval
-        req = wfm.SteeringRequest(
-            delay=tau,
-            doppler=omega,
-            times=times,
-            migrating=scenario.migration,
-            carrier=carrier,
-        )
-        a = wfm.steering(wf, req)
-        d_mat = wfm.steering_jacobian(wf, req, geom)
-        u = _orthonormal(_interference_columns(scenario, wf, nb))
+    for sel in batch_slices(scenario.n_samples, scenario.m_batches, scenario.batch_mode):
+        a, d_mat = steer[sel], jacobian[sel]
+        u = _orthonormal(lagged_columns(wf.time_series, n[sel], scenario.clutter_taps))
         b = a - u @ (u.conj().T @ a)
         b2 = float(np.real(b.conj() @ b))
         if b2 < DEGENERATE_STEERING_TOL * float(np.real(a.conj() @ a)):
@@ -225,50 +214,70 @@ def _node_contexts(
         pd = d_mat - u @ (u.conj().T @ d_mat)
         d_clean = pd - np.outer(b, (b.conj() @ pd)) / b2
         zj = build_banded_zj(
-            amp.dpi, amp.clutter, amp.target, omega, nb, scenario.sample_interval
+            amp.dpi, amp.clutter, amp.target, omega, n[sel], scenario.sample_interval
         )
         y_clean = None
         if with_clean_signal:
-            y = clean_surv[nb]
+            y = clean_surv[sel]
             y_clean = y - u @ (u.conj().T @ y)
         out.append(
             _BatchContext(
-                u=u, b=b, b2=b2, d_clean=d_clean, zj=zj, times=times, y_clean=y_clean
+                u=u, b=b, b2=b2, d_clean=d_clean, zj=zj, times=req.times[sel], y_clean=y_clean
             )
         )
     return out
 
 
-def hessian_and_crb(
-    scenario: Scenario, wf: wfm.MasterWaveform = None, mode: str = None
-) -> tuple:
-    """Positive-definite curvature matrix and the surveillance-noise bound.
+def _theory_sums(scenario: Scenario, wf: wfm.MasterWaveform, mode: str) -> tuple:
+    """Curvature ``H`` and reference-noise excess ``Q``, summed over nodes
+    and batches from one build of each node's contexts.
 
-    ``H = 2 sum_k |d_k|^2 Re(D_k^H Pt D_k)`` summed over batches;
-    ``CRB = sc_noise_var * H^-1``.  Raises
-    :class:`UnidentifiableScenarioError` when H is singular.
+    ``H = 2 sum_k |d_k|^2 Re(D_k^H Pt D_k)``;
+    ``Q = 2 rc_noise_var sum_k |d_k|^2/|a_k|^2 Re(G_k^H ZJ ZJ^H G_k)`` with
+    ``G_k`` the cleaned steering Jacobian, evaluated through the banded
+    form, never materializing the dense coupling.
     """
-    if wf is None:
-        wf = scenario_waveform(scenario)
-    if mode is None:
-        mode = default_mode(scenario)
     _check_mode(scenario, mode)
     dim = 2 if mode == "delay_doppler" else 4
     h = np.zeros((dim, dim))
+    q = np.zeros((dim, dim))
+    rc_var = scenario.rc_noise_var
     any_target = False
-    for k in range(scenario.n_nodes):
-        d2 = abs(scenario.amplitudes[k].target) ** 2
+    for k, amp in enumerate(scenario.amplitudes):
+        d2 = abs(amp.target) ** 2
         if d2 == 0.0:
             continue
         any_target = True
+        a2 = abs(amp.rc) ** 2
+        if rc_var != 0.0 and a2 == 0.0:
+            raise ValueError(f"node {k}: zero reference amplitude with reference noise")
         for ctx in _node_contexts(scenario, wf, k, mode):
             if ctx is None:
                 continue
             g = ctx.d_clean
             h += 2.0 * d2 * np.real(g.conj().T @ g)
+            if rc_var != 0.0:
+                w = ctx.zj.apply_adjoint(g)
+                q += 2.0 * rc_var * (d2 / a2) * np.real(w.conj().T @ w)
     if not any_target:
         raise ValueError("no node has a nonzero target amplitude")
-    h = (h + h.T) / 2
+    return (h + h.T) / 2, (q + q.T) / 2
+
+
+def _defaults(scenario: Scenario, wf: wfm.MasterWaveform, mode: str) -> tuple:
+    """The scene's waveform and default mode where they are not given."""
+    if wf is None:
+        wf = scenario_waveform(scenario)
+    return wf, default_mode(scenario) if mode is None else mode
+
+
+def hessian_and_crb(
+    scenario: Scenario, wf: wfm.MasterWaveform = None, mode: str = None
+) -> tuple:
+    """Positive-definite curvature matrix and the surveillance-noise bound
+    ``CRB = sc_noise_var * H^-1``.  Raises
+    :class:`UnidentifiableScenarioError` when H is singular."""
+    h, _ = _theory_sums(scenario, *_defaults(scenario, wf, mode))
     crb = scenario.sc_noise_var * _scaled_inverse(h)
     return h, (crb + crb.T) / 2
 
@@ -292,35 +301,8 @@ def _scaled_inverse(h: np.ndarray) -> np.ndarray:
 
 
 def excess_q(scenario: Scenario, wf: wfm.MasterWaveform = None, mode: str = None) -> np.ndarray:
-    """Gradient-covariance excess from reference-channel noise (PSD).
-
-    ``Q = 2 rc_noise_var sum_k |d_k|^2/|a_k|^2 Re(G_k^H ZJ ZJ^H G_k)`` with
-    ``G_k`` the cleaned steering Jacobian; evaluated per batch through the
-    banded form, never materializing the dense coupling.
-    """
-    if wf is None:
-        wf = scenario_waveform(scenario)
-    if mode is None:
-        mode = default_mode(scenario)
-    _check_mode(scenario, mode)
-    dim = 2 if mode == "delay_doppler" else 4
-    q = np.zeros((dim, dim))
-    if scenario.rc_noise_var == 0.0:
-        return q
-    for k in range(scenario.n_nodes):
-        amp = scenario.amplitudes[k]
-        d2 = abs(amp.target) ** 2
-        if d2 == 0.0:
-            continue
-        a2 = abs(amp.rc) ** 2
-        if a2 == 0.0:
-            raise ValueError(f"node {k}: zero reference amplitude with reference noise")
-        for ctx in _node_contexts(scenario, wf, k, mode):
-            if ctx is None:
-                continue
-            w = ctx.zj.apply_adjoint(ctx.d_clean)
-            q += 2.0 * scenario.rc_noise_var * (d2 / a2) * np.real(w.conj().T @ w)
-    return (q + q.T) / 2
+    """Gradient-covariance excess ``Q`` from reference-channel noise (PSD)."""
+    return _theory_sums(scenario, *_defaults(scenario, wf, mode))[1]
 
 
 def efficiency_margin(scenario: Scenario) -> np.ndarray:
@@ -355,13 +337,11 @@ def asymptotic_covariance(
     scenario: Scenario, wf: wfm.MasterWaveform = None, mode: str = None
 ) -> TheoryReport:
     """Full first-order prediction: H, CRB, Q, CRB + H^-1 Q H^-1, margins."""
-    if wf is None:
-        wf = scenario_waveform(scenario)
-    if mode is None:
-        mode = default_mode(scenario)
-    h, crb = hessian_and_crb(scenario, wf, mode)
-    q = excess_q(scenario, wf, mode)
+    wf, mode = _defaults(scenario, wf, mode)
+    h, q = _theory_sums(scenario, wf, mode)
     h_inv = _scaled_inverse(h)
+    crb = scenario.sc_noise_var * h_inv
+    crb = (crb + crb.T) / 2
     acov = crb + h_inv @ q @ h_inv
     names = ("tau", "omega") if mode == "delay_doppler" else ("x", "y", "vx", "vy")
     return TheoryReport(
@@ -393,10 +373,7 @@ def noise_free_objective(
     the scenario weights.  Returns a callable of (tau, omega) in
     delay_doppler mode or the 4-vector target state in theta mode.
     """
-    if wf is None:
-        wf = scenario_waveform(scenario)
-    if mode is None:
-        mode = default_mode(scenario)
+    wf, mode = _defaults(scenario, wf, mode)
     _check_mode(scenario, mode)
     contexts = [
         _node_contexts(scenario, wf, k, mode, with_clean_signal=True)

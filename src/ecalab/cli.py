@@ -18,6 +18,8 @@ from .config import ConfigError, _as_float, _as_int, _get, estimator_options, pa
 from .geometry import TargetParams
 from .scene import REF_GUARD
 
+RECORD_COLUMNS = ["n", "ref_re", "ref_im", "surv_re", "surv_im"]
+
 
 def _add_common(parser, needs_config=True):
     if needs_config:
@@ -79,7 +81,7 @@ def cmd_simulate(args) -> int:
                 s_re = s_im = np.nan
             rows.append((n, rec.reference[i].real, rec.reference[i].imag, s_re, s_im))
         output.emit_csv(
-            ["n", "ref_re", "ref_im", "surv_re", "surv_im"],
+            RECORD_COLUMNS,
             rows,
             os.path.join(args.out, f"node_{k}.csv"),
         )
@@ -97,21 +99,41 @@ def cmd_simulate(args) -> int:
 
 
 def read_node_record(path, scenario: scene.Scenario, node_index: int) -> scene.NodeRecord:
-    """Reconstruct a NodeRecord from a simulate CSV."""
-    header, rows = output.parse_csv(path)
-    if header != ["n", "ref_re", "ref_im", "surv_re", "surv_im"]:
-        raise ConfigError(f"{path}: unexpected record columns {header}")
-    n_col = np.array([r[0] for r in rows])
-    ref = np.array([complex(r[1], r[2]) for r in rows])
-    surv_mask = (n_col >= 0) & (n_col < scenario.n_samples)
-    surv = np.array([complex(r[3], r[4]) for r, m in zip(rows, surv_mask) if m])
+    """Reconstruct a NodeRecord from a simulate CSV.
+
+    Raises :class:`ConfigError`, naming the file and the line, unless the
+    file has the record header, one row per reference sample
+    (``-max_delay_samples .. n_samples-1+REF_GUARD`` in the ``n`` column),
+    finite reference values and finite surveillance values in the window.
+    """
+    M, N = scenario.max_delay_samples, scenario.n_samples
+    n = np.arange(-M, N + REF_GUARD)
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        if header != RECORD_COLUMNS:
+            raise ConfigError(f"{path}: unexpected record columns {header}")
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as err:
+            raise ConfigError(f"{path}: {err}") from None
+    if data.shape != (n.size, len(RECORD_COLUMNS)):
+        raise ConfigError(f"{path}: expected {n.size} rows of 5 values, found {data.shape}")
+    window = (n >= 0) & (n < N)
+    for fault, bad in [
+        ("sample index out of sequence", data[:, 0] != n),
+        ("reference value is not finite", ~np.isfinite(data[:, 1:3]).all(axis=1)),
+        ("surveillance value is not finite", window & ~np.isfinite(data[:, 3:5]).all(axis=1)),
+    ]:
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise ConfigError(f"{path}: line {i + 2} (n = {n[i]}): {fault}")
     tau, omega = scene.node_truth(scenario, node_index)
     return scene.NodeRecord(
-        reference=ref,
-        surveillance=surv,
-        n_indices=np.arange(scenario.n_samples),
+        reference=np.ascontiguousarray(data[:, 1:3]).view(complex).ravel(),
+        surveillance=np.ascontiguousarray(data[window, 3:5]).view(complex).ravel(),
+        n_indices=np.arange(N),
         sample_interval=scenario.sample_interval,
-        max_delay_samples=scenario.max_delay_samples,
+        max_delay_samples=M,
         truth=(tau, omega, scenario.amplitudes[node_index].target),
         node_index=node_index,
     )

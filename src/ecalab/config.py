@@ -320,7 +320,6 @@ def parse_config(path, overrides: list = None):
     if not isinstance(cfg, dict):
         raise ConfigError("scenario file must hold a key-value tree")
     cfg = apply_overrides(cfg, overrides)
-    _check_keys(cfg, _SCHEMA)
     scenario = build_scenario(cfg)
     return scenario, cfg
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import i0
 
-from .scene import NodeRecord
+from .scene import NodeRecord, batch_slices, lagged_columns
 
 INTERP_HALFWIDTH = 16
 KAISER_BETA = 12.0
@@ -177,8 +177,7 @@ def interference_basis(record: NodeRecord, n_taps: int) -> InterferenceBasis:
     """
     if record.reference.size < record.n_indices.size + n_taps:
         raise ValueError("reference record too short for the requested tap count")
-    base = record.max_delay_samples + record.n_indices
-    cols = np.column_stack([record.reference[base - l] for l in range(n_taps + 1)])
+    cols = lagged_columns(record.reference, record.max_delay_samples + record.n_indices, n_taps)
     q, r = np.linalg.qr(cols, mode="reduced")
     diag = np.abs(np.diag(r))
     if np.min(diag) < RANK_TOL * np.linalg.norm(cols):
@@ -390,27 +389,16 @@ def spectrum_grid(
 def batch_split(record: NodeRecord, m_batches: int, mode: str = "consecutive") -> list:
     """Split a record into batch views sharing the full-rate reference.
 
-    Consecutive mode slices the surveillance window into contiguous blocks;
-    sparse mode takes every m-th sample (preserving the observation span at
-    the cost of the unambiguous Doppler range).
+    The batches are those of :func:`ecalab.scene.batch_slices`; one batch
+    is the record itself.
     """
-    n = record.n_indices.size
-    if n % m_batches != 0:
-        raise ValueError(
-            f"record length {n} not divisible into {m_batches} batches"
-        )
-    if mode not in ("consecutive", "sparse"):
-        raise ValueError("mode must be 'consecutive' or 'sparse'")
+    slices = batch_slices(record.n_indices.size, m_batches, mode)
     if m_batches == 1:
         return [record]
-    q = n // m_batches
-    out = []
-    for m in range(m_batches):
-        sel = slice(m * q, (m + 1) * q) if mode == "consecutive" else slice(m, None, m_batches)
-        out.append(
-            replace(record, surveillance=record.surveillance[sel], n_indices=record.n_indices[sel])
-        )
-    return out
+    return [
+        replace(record, surveillance=record.surveillance[sel], n_indices=record.n_indices[sel])
+        for sel in slices
+    ]
 
 
 def frame_spectrum(

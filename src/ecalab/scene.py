@@ -138,15 +138,7 @@ class Scenario:
                 )
         if self.sc_noise_var < 0 or self.rc_noise_var < 0:
             raise ValueError("noise variances must be >= 0")
-        if self.m_batches < 1:
-            raise ValueError("m_batches must be >= 1")
-        if self.n_samples % self.m_batches != 0:
-            raise ValueError(
-                f"n_samples ({self.n_samples}) must be divisible by "
-                f"m_batches ({self.m_batches})"
-            )
-        if self.batch_mode not in ("consecutive", "sparse"):
-            raise ValueError("batch_mode must be 'consecutive' or 'sparse'")
+        batch_slices(self.n_samples, self.m_batches, self.batch_mode)
         guard_needed = 2 * (self.n_samples + 2 * self.max_delay_samples + REF_GUARD)
         if self.master_length < guard_needed:
             raise ValueError(
@@ -212,6 +204,37 @@ class NodeRecord:
         return self.n_indices * self.sample_interval
 
 
+def batch_slices(n_samples: int, m_batches: int, mode: str) -> list:
+    """Sample positions of each batch of an ``n_samples`` window, as slices.
+
+    Consecutive mode cuts the window into contiguous blocks; sparse mode
+    takes every ``m_batches``-th sample (preserving the observation span at
+    the cost of the unambiguous Doppler range).  Raises :class:`ValueError`
+    for an unknown mode or a count that does not divide the window.
+    """
+    if m_batches < 1:
+        raise ValueError("m_batches must be >= 1")
+    if n_samples % m_batches != 0:
+        raise ValueError(
+            f"n_samples ({n_samples}) must be divisible by m_batches ({m_batches})"
+        )
+    if mode not in ("consecutive", "sparse"):
+        raise ValueError(f"batch_mode must be 'consecutive' or 'sparse', got {mode!r}")
+    q = n_samples // m_batches
+    if mode == "consecutive":
+        return [slice(m * q, (m + 1) * q) for m in range(m_batches)]
+    return [slice(m, None, m_batches) for m in range(m_batches)]
+
+
+def lagged_columns(series: np.ndarray, rows: np.ndarray, taps: int) -> np.ndarray:
+    """Columns ``series[rows - l]`` for lags ``l = 0..taps``, shape (rows, taps+1).
+
+    A negative index counts from the end of ``series``, which is the wrap of
+    a periodic series such as the master waveform.
+    """
+    return series[rows[:, None] - np.arange(taps + 1)]
+
+
 def node_truth(scenario: Scenario, k: int) -> tuple:
     """True (delay, doppler) pair of node ``k``."""
     if scenario.truth_delay_doppler is not None:
@@ -233,38 +256,25 @@ def scenario_waveform(scenario: Scenario) -> wfm.MasterWaveform:
 def clutter_matrix(wf: wfm.MasterWaveform, scenario: Scenario, k: int) -> np.ndarray:
     """True-waveform Toeplitz clutter matrix, shape (N, L); column l-1 is the
     waveform delayed by l samples."""
-    L = scenario.clutter_taps
-    N = scenario.n_samples
-    # column l: s(t_n - l*dT) = master[(n - l) mod P]; build from one strip
-    strip = wf.time_series[
-        (np.arange(-L, N) % scenario.master_length)
-    ]  # s(t_{-L}) .. s(t_{N-1})
-    cols = [strip[L - l : L - l + N] for l in range(1, L + 1)]
-    return np.column_stack(cols) if cols else np.zeros((N, 0), dtype=complex)
+    n = np.arange(scenario.n_samples)
+    return lagged_columns(wf.time_series, n, scenario.clutter_taps)[:, 1:]
 
 
 def clean_node_signals(scenario: Scenario, wf: wfm.MasterWaveform, k: int):
     """Noise-free reference and surveillance vectors of node ``k``."""
     amp = scenario.amplitudes[k]
     N = scenario.n_samples
-    M = scenario.max_delay_samples
-    P = scenario.master_length
-    dt = scenario.sample_interval
     tau, omega = node_truth(scenario, k)
 
-    ref_idx = np.arange(-M, N + REF_GUARD)
-    clean_ref = amp.rc * wf.time_series[ref_idx % P]
+    clean_ref = amp.rc * wf.time_series[np.arange(-scenario.max_delay_samples, N + REF_GUARD)]
 
-    surv_idx = np.arange(N)
-    direct = wf.time_series[surv_idx % P]
-    clean_surv = amp.dpi * direct
+    clean_surv = amp.dpi * wf.time_series[:N]
     if scenario.clutter_taps:
         clean_surv = clean_surv + clutter_matrix(wf, scenario, k) @ amp.clutter
-    times = surv_idx * dt
     req = wfm.SteeringRequest(
         delay=tau,
         doppler=omega,
-        times=times,
+        times=scenario.surveillance_times(),
         migrating=scenario.migration,
         carrier=scenario.nodes[k].carrier_angular_frequency,
     )

@@ -167,7 +167,7 @@ def check_ptilde():
     scn = _tiny_scenario()
     wf = scene.scenario_waveform(scn)
     nb = np.arange(scn.n_samples)
-    cols = analysis._interference_columns(scn, wf, nb)
+    cols = scene.lagged_columns(wf.time_series, nb, scn.clutter_taps)
     tau, omega = scene.node_truth(scn, 0)
     req = waveform.SteeringRequest(delay=tau, doppler=omega, times=nb / scn.sample_rate)
     a = waveform.steering(wf, req)

@@ -364,3 +364,16 @@ def test_hessian_oracle_under_migration():
     ) / (4 * ht * ho)
     scale = np.sqrt(np.outer(np.diag(h), np.diag(h)))
     assert np.max(np.abs(h + fd) / scale) <= 1e-3
+
+
+def test_theory_builds_each_node_context_once(monkeypatch):
+    calls = []
+    original = analysis._node_contexts
+
+    def spy(scenario, wf, k, mode, **kwargs):
+        calls.append(k)
+        return original(scenario, wf, k, mode, **kwargs)
+
+    monkeypatch.setattr(analysis, "_node_contexts", spy)
+    asymptotic_covariance(multistatic_scene(m_batches=2))
+    assert sorted(calls) == [0, 1, 2]

@@ -321,3 +321,61 @@ def test_cli_sweep_reports_mse_stderr(tmp_path):
     header, rows = output.parse_csv(out / "sweep.csv")
     idx = header.index("mse_rel_stderr")
     assert rows[0][idx] == pytest.approx(np.sqrt(2 / 8))
+
+
+SMALL = ["sampling.n_samples=256", "waveform.master_length=1024",
+         "sampling.max_delay_samples=40", "truth=[{delay_s: 5.68e-7, doppler_rad_s: 3.8e6}]"]
+
+
+def _capture(tmp_path, edit):
+    """Simulate the small bistatic scene, pass the lines of its node-0
+    capture through ``edit``, and run ``spectrum --records`` on the result."""
+    sim = tmp_path / "sim"
+    argv = ["--config", BISTATIC] + [a for item in SMALL for a in ("--set", item)]
+    assert _run(["simulate", "--out", str(sim)] + argv) == 0
+    path = sim / "node_0.csv"
+    path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+    scn, _ = parse_config(BISTATIC, SMALL)
+    code = _run(["spectrum", "--out", str(tmp_path / "spec"), "--records", str(sim),
+                 "--set", "grids.tau_step_cells=4.0", "--set", "grids.omega_step_cells=4.0"]
+                + argv)
+    return scn, path, code
+
+
+def _set_cell(line, column, value):
+    cells = line.rstrip("\n").split(",")
+    cells[column] = value
+    return ",".join(cells) + "\n"
+
+
+def test_truncated_capture_is_rejected_with_its_path(tmp_path, capsys):
+    scn, path, code = _capture(tmp_path, lambda lines: lines[:-100])
+    assert code == 2
+    assert str(path) in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="expected 328 rows"):
+        cli.read_node_record(path, scn, 0)
+
+
+def test_capture_with_a_non_finite_sample_is_rejected(tmp_path, capsys):
+    # line 7 holds reference sample n = -35, line 101 surveillance sample n = 59
+    for line, column, fault in [(7, 1, "reference"), (101, 4, "surveillance")]:
+        def edit(lines):
+            lines[line - 1] = _set_cell(lines[line - 1], column, "nan")
+            return lines
+
+        scn, path, code = _capture(tmp_path, edit)
+        assert code == 2
+        assert f"{path}: line {line} " in capsys.readouterr().err
+        with pytest.raises(ConfigError, match=f"{fault} value is not finite"):
+            cli.read_node_record(path, scn, 0)
+
+
+def test_capture_with_a_wrong_sample_index_is_rejected(tmp_path, capsys):
+    def edit(lines):
+        lines[50] = _set_cell(lines[50], 0, "7")
+        return lines
+
+    scn, path, code = _capture(tmp_path, edit)
+    assert code == 2
+    with pytest.raises(ConfigError, match=r"line 51 \(n = 9\): sample index out of sequence"):
+        cli.read_node_record(path, scn, 0)

@@ -8,7 +8,9 @@ Write the outputs of one checkout, then compare two such directories:
 ``run`` executes the CLI of the checkout at PATH (default: the checkout
 holding this script) on both example scenarios: ``simulate`` (static and
 with ``migration=true``), ``spectrum`` (static and with ``migration=true``),
-``estimate`` and ``theory``.  Each command writes into its own directory
+``estimate`` and ``theory``.  The bistatic example also runs ``estimate``
+and ``theory`` with ``batching.count=8`` in sparse and in consecutive mode,
+which covers the batch rule.  Each command writes into its own directory
 under ``OUT/<scenario>/``.  The migrating surfaces use coarser grids than the
 scenario files, so that a checkout with a slow migrating grid still finishes
 in seconds; their 0.75-sample delay steps give four fractional offsets.
@@ -32,10 +34,6 @@ import subprocess
 import sys
 
 CHECKOUT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SCENARIOS = {
-    "bistatic": "scenarios/bistatic_example.yaml",
-    "multistatic": "scenarios/multistatic_example.yaml",
-}
 MIGRATING_GRID = [
     "migration=true",
     "grids.tau_step_cells=0.75",
@@ -51,12 +49,22 @@ COMMANDS = [
     ("estimate", "estimate", ["estimator.trials=6"]),
     ("theory", "theory", []),
 ]
+BATCHED = [
+    (f"{command}_{mode}8", command, ["batching.count=8", f"batching.mode={mode}"] + extra)
+    for mode in ("sparse", "consecutive")
+    for command, extra in [("estimate", ["estimator.trials=4"]), ("theory", [])]
+]
+# scenario name: (config file, commands)
+SCENARIOS = {
+    "bistatic": ("scenarios/bistatic_example.yaml", COMMANDS + BATCHED),
+    "multistatic": ("scenarios/multistatic_example.yaml", COMMANDS),
+}
 
 
 def run(out: str, repo: str) -> None:
     env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
-    for name, config in SCENARIOS.items():
-        for folder, command, overrides in COMMANDS:
+    for name, (config, commands) in SCENARIOS.items():
+        for folder, command, overrides in commands:
             target = os.path.join(out, name, folder)
             argv = [sys.executable, "-m", "ecalab.cli", command,
                     "--config", os.path.join(repo, config), "--out", target]
