@@ -21,6 +21,7 @@ from .eca import (
     InterferenceBasis,
     batch_split,
     frame_spectrum,
+    frame_spectrum_derivatives,
     interference_basis,
     project_out,
     rc_steering,

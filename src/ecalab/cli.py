@@ -220,6 +220,8 @@ def cmd_estimate(args) -> int:
         rows,
         os.path.join(args.out, "estimates.csv"),
     )
+    converged = sum(rep.converged for rep in reports)
+    print(f"{converged} of {len(reports)} trials converged")
     print(f"wrote {len(rows)} estimate(s) to {args.out}")
     return 0
 

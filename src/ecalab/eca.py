@@ -21,7 +21,10 @@ the Nyquist band its relative error is below -120 dB, far under every
 tolerance used by the estimator or the statistical validation.  A delay
 that does not drift shares one set of taps over all samples; a migrating
 delay needs taps per sample, and a migrating surface computes them once per
-Doppler bin for all delay rows a whole number of samples apart.
+Doppler bin for all delay rows a whole number of samples apart.  The same
+interpolation with the taps' first and second derivatives gives the frame
+spectrum's gradient and Hessian in delay and Doppler in closed form
+(:func:`frame_spectrum_derivatives`).
 
 The estimator's products are small (a few thousand samples against a few
 interference columns): a second BLAS thread costs more than it saves, and
@@ -35,9 +38,11 @@ import contextlib
 import ctypes
 import functools
 from dataclasses import dataclass, replace
+from math import factorial
 
 import numpy as np
-from scipy.special import i0
+from numpy.polynomial.polynomial import polyval
+from scipy.special import i0, i1
 
 from .scene import NodeRecord, batch_slices, lagged_columns
 
@@ -132,6 +137,65 @@ def _kaiser_sinc(offsets: np.ndarray) -> np.ndarray:
     return np.sinc(offsets) * (i0(KAISER_BETA * np.sqrt(1.0 - x * x)) / i0(KAISER_BETA))
 
 
+# Power-series coefficients (ten terms reach double precision where they are
+# used): sinc'(u) = -pi^2 u S1(v), sinc''(u) = -pi^2 S2(v) with v = (pi u)^2,
+# for |u| < 1/4; I1(z)/z = B1(q), I2(z)/z^2 = B2(q) with q = z^2/4, for z^2 < 1.
+_SINC1 = np.array([(-1) ** j * (2 * j + 2) / factorial(2 * j + 3) for j in range(10)])
+_SINC2 = np.array([(-1) ** j * (2 * j + 2) * (2 * j + 1) / factorial(2 * j + 3)
+                   for j in range(10)])
+_BESSEL1 = np.array([0.5 / (factorial(j) * factorial(j + 1)) for j in range(10)])
+_BESSEL2 = np.array([0.25 / (factorial(j) * factorial(j + 2)) for j in range(10)])
+
+
+def _kaiser_sinc_derivatives(offsets: np.ndarray) -> tuple:
+    """First and second derivatives of :func:`_kaiser_sinc` in the offset.
+
+    With ``u`` the offset, ``sinc' = (cos(pi u) - sinc u) / u`` and
+    ``sinc'' = -pi^2 sinc - 2 sinc' / u``.  The window
+    ``w = I0(z) / I0(beta)``, ``z = beta sqrt(1 - (u/W)^2)``, has
+    ``w' = -c u g / I0(beta)`` and ``w'' = -c (g - c u^2 k) / I0(beta)`` with
+    ``c = (beta/W)^2``, ``g = I1(z)/z`` and ``k = I2(z)/z^2 = (I0(z) - 2g)/z^2``.
+    Power series replace the closed forms where these cancel: near ``u = 0``
+    (limits 0 and -pi^2/3) and near ``|u| = W``, where ``z -> 0``.
+    """
+    u = np.asarray(offsets, dtype=float)
+    sinc = np.sinc(u)
+    near = np.abs(u) < 0.25
+    safe_u = np.where(near, 1.0, u)
+    d1 = (np.cos(np.pi * u) - sinc) / safe_u
+    d2 = -np.pi**2 * sinc - 2 * d1 / safe_u
+    if near.any():
+        v = (np.pi * u[near]) ** 2
+        d1[near] = -np.pi**2 * u[near] * polyval(v, _SINC1)
+        d2[near] = -np.pi**2 * polyval(v, _SINC2)
+
+    x = u / INTERP_HALFWIDTH
+    zz = KAISER_BETA**2 * (1.0 - x * x)
+    z = np.sqrt(zz)
+    edge = zz < 1.0
+    safe_z = np.where(edge, 1.0, z)
+    i0z = i0(z)
+    g = i1(safe_z) / safe_z
+    k = (i0z - 2 * g) / (safe_z * safe_z)
+    if edge.any():
+        q = zz[edge] / 4
+        g[edge] = polyval(q, _BESSEL1)
+        k[edge] = polyval(q, _BESSEL2)
+    c = (KAISER_BETA / INTERP_HALFWIDTH) ** 2
+    norm = i0(KAISER_BETA)
+    w = i0z / norm
+    w1 = -c * u * g / norm
+    w2 = -c * (g - c * u * u * k) / norm
+    return d1 * w + sinc * w1, d2 * w + 2 * d1 * w1 + sinc * w2
+
+
+def _tap_sets(offsets: np.ndarray, derivatives: bool) -> tuple:
+    """Kaiser-sinc taps at ``offsets``, followed by the first- and
+    second-derivative taps when ``derivatives``."""
+    taps = _kaiser_sinc(offsets)
+    return (taps, *_kaiser_sinc_derivatives(offsets)) if derivatives else (taps,)
+
+
 def _check_support(lo: float, hi: float, size: int) -> None:
     """Raise :class:`DelayRangeError` unless the kernel stays inside the record."""
     if not (lo >= INTERP_HALFWIDTH - 1 and hi < size - INTERP_HALFWIDTH):
@@ -141,10 +205,16 @@ def _check_support(lo: float, hi: float, size: int) -> None:
         )
 
 
-def _sample_taps(positions: np.ndarray) -> tuple:
-    """Lower sample index and Kaiser-sinc taps, (size, 2*W), of every position."""
+def _sample_offsets(positions: np.ndarray) -> tuple:
+    """Lower sample index and tap offsets, (size, 2*W), of every position."""
     base = np.floor(positions).astype(np.int64)
     offsets = (positions - base)[:, None] - np.arange(-INTERP_HALFWIDTH + 1, INTERP_HALFWIDTH + 1)
+    return base, offsets
+
+
+def _sample_taps(positions: np.ndarray) -> tuple:
+    """Lower sample index and Kaiser-sinc taps, (size, 2*W), of every position."""
+    base, offsets = _sample_offsets(positions)
     return base, _kaiser_sinc(offsets)
 
 
@@ -163,9 +233,16 @@ def interpolate_reference(reference: np.ndarray, positions: np.ndarray) -> np.nd
     positions = np.asarray(positions, dtype=float)
     if positions.size == 0:
         return np.zeros(0, dtype=complex)
+    return _interpolate(reference, positions, derivatives=False)[0]
+
+
+def _interpolate(reference: np.ndarray, positions: np.ndarray, derivatives: bool) -> tuple:
+    """Per-sample interpolation at ``positions`` with each set of
+    :func:`_tap_sets`; derivative taps give derivatives in the position."""
     _check_support(positions.min(), positions.max(), reference.size)
-    base, taps = _sample_taps(positions)
-    return np.einsum("ij,ij->i", _windows(reference)[base - INTERP_HALFWIDTH + 1], taps)
+    base, offsets = _sample_offsets(positions)
+    windows = _windows(reference)[base - INTERP_HALFWIDTH + 1]
+    return [np.einsum("ij,ij->i", windows, taps) for taps in _tap_sets(offsets, derivatives)]
 
 
 def interference_basis(record: NodeRecord, n_taps: int) -> InterferenceBasis:
@@ -173,8 +250,16 @@ def interference_basis(record: NodeRecord, n_taps: int) -> InterferenceBasis:
 
     Column l is the reference at the record's sample instants delayed by l
     lattice steps; the orthonormal factor comes from a thin QR with a rank
-    check.  The record's surveillance is projected here, once.
+    check.  The record's surveillance is projected here, once.  Raises
+    ``ValueError`` when ``n_taps`` exceeds the record's ``max_delay_samples``,
+    as the earliest lags would then read before the first stored reference
+    sample.
     """
+    if n_taps > record.max_delay_samples:
+        raise ValueError(
+            f"n_taps ({n_taps}) exceeds the record's max_delay_samples "
+            f"({record.max_delay_samples})"
+        )
     if record.reference.size < record.n_indices.size + n_taps:
         raise ValueError("reference record too short for the requested tap count")
     cols = lagged_columns(record.reference, record.max_delay_samples + record.n_indices, n_taps)
@@ -198,34 +283,43 @@ def project_out(basis: InterferenceBasis, vectors: np.ndarray) -> np.ndarray:
     return vectors - u @ (u.conj().T @ vectors)
 
 
-def _window_steering(record, n_lo, count, tau, omega, migrating, carrier) -> np.ndarray:
-    """Steering at samples ``n_lo .. n_lo+count-1``.  Unless the delay drifts
-    (migration at nonzero Doppler), all samples share the fractional offset
-    of ``tau`` and one set of taps slides over the reference span."""
+def _delayed_reference(record, n_lo, count, tau, omega, migrating, carrier, derivatives=False):
+    """Reference interpolated at the delayed positions of samples
+    ``n_lo .. n_lo+count-1``: ``(s0,)``, or ``(s0, s1, s2)`` with the first- and
+    second-derivative taps when ``derivatives`` (derivatives in the position).
+
+    Unless the delay drifts (migration at nonzero Doppler), all samples share
+    the fractional offset of ``tau`` and each set of taps slides over one
+    reference span.
+    """
     if migrating and not carrier:
         raise ValueError("migrating steering requires the carrier frequency")
     if tau < 0:
         raise DelayRangeError(f"delay must be non-negative, got {tau:.3e} s")
     dt = record.sample_interval
-    n = np.arange(n_lo, n_lo + count)
-    times = n * dt
     if migrating and omega != 0.0:
-        lattice = n - tau / dt + (omega / carrier) * times / dt
-        delayed = interpolate_reference(record.reference, record.max_delay_samples + lattice)
-    else:
-        shift = record.max_delay_samples - tau / dt
-        _check_support(shift + n_lo, shift + n_lo + count - 1, record.reference.size)
-        base = int(np.floor(shift))
-        W = INTERP_HALFWIDTH
-        taps = _kaiser_sinc((shift - base) - np.arange(-W + 1, W + 1))
-        start = base + n_lo - W + 1
-        delayed = np.correlate(record.reference[start : start + count + 2 * W - 1], taps, "valid")
-    return delayed * np.exp(1j * omega * times)
+        n = np.arange(n_lo, n_lo + count)
+        lattice = n - tau / dt + (omega / carrier) * (n * dt) / dt
+        return _interpolate(record.reference, record.max_delay_samples + lattice, derivatives)
+    shift = record.max_delay_samples - tau / dt
+    _check_support(shift + n_lo, shift + n_lo + count - 1, record.reference.size)
+    base = int(np.floor(shift))
+    W = INTERP_HALFWIDTH
+    start = base + n_lo - W + 1
+    span = record.reference[start : start + count + 2 * W - 1]
+    taps = _tap_sets((shift - base) - np.arange(-W + 1, W + 1), derivatives)
+    return [np.correlate(span, t, "valid") for t in taps]
+
+
+def _window_steering(record, n_lo, count, tau, omega, migrating, carrier) -> np.ndarray:
+    """Steering at samples ``n_lo .. n_lo+count-1``."""
+    (delayed,) = _delayed_reference(record, n_lo, count, tau, omega, migrating, carrier)
+    return delayed * np.exp(1j * omega * (np.arange(n_lo, n_lo + count) * record.sample_interval))
 
 
 def _take(window: np.ndarray, n_lo: int, n_indices: np.ndarray) -> np.ndarray:
-    """Samples ``n_indices`` of a window that starts at sample ``n_lo``."""
-    return window if window.size == n_indices.size else window[n_indices - n_lo]
+    """Samples ``n_indices`` of a window (last axis) that starts at sample ``n_lo``."""
+    return window if window.shape[-1] == n_indices.size else window[..., n_indices - n_lo]
 
 
 def rc_steering(
@@ -256,9 +350,15 @@ def projected_power(x: np.ndarray, u: np.ndarray, y_clean: np.ndarray) -> float:
     xh = x.conj()
     norm2 = float(np.real(xh @ x))
     denom = norm2 - float(np.sum(np.abs(xh @ u) ** 2))
+    _check_degenerate(denom, norm2)
+    return float(np.abs(xh @ y_clean) ** 2 / denom)
+
+
+def _check_degenerate(denom: float, norm2: float) -> None:
+    """Raise :class:`DegenerateSteeringError` when the cleaned steering energy
+    ``denom`` is under the degenerate tolerance of the energy ``norm2``."""
     if denom < DEGENERATE_STEERING_TOL * norm2:
         raise DegenerateSteeringError(f"cleaned steering energy {denom:.3e} below tolerance")
-    return float(np.abs(xh @ y_clean) ** 2 / denom)
 
 
 def spectrum_value(y: np.ndarray, basis: InterferenceBasis, steer: np.ndarray) -> float:
@@ -415,13 +515,93 @@ def frame_spectrum(
     takes its own samples; cancellation is independent per batch.  Errors
     (degenerate steering, out-of-range delay) propagate to the caller.
     """
-    n_lo = min(b.n_indices[0] for b in batches)
-    n_hi = max(b.n_indices[-1] for b in batches)
-    window = _window_steering(batches[0], n_lo, n_hi - n_lo + 1, tau, omega, migrating, carrier)
+    n_lo, count = _frame_window(batches)
+    window = _window_steering(batches[0], n_lo, count, tau, omega, migrating, carrier)
     return sum(
         projected_power(_take(window, n_lo, b.n_indices), basis.orthonormal, basis.y_clean)
         for b, basis in zip(batches, bases)
     )
+
+
+def _frame_window(batches: list) -> tuple:
+    """First sample and length of the window spanning every batch."""
+    n_lo = min(b.n_indices[0] for b in batches)
+    return n_lo, max(b.n_indices[-1] for b in batches) - n_lo + 1
+
+
+# entries of the stacked steering derivatives: first[p], second[p][q]
+_FIRST = np.array([1, 2])
+_SECOND = np.array([[3, 4], [4, 5]])
+
+
+def frame_spectrum_derivatives(
+    batches: list,
+    bases: list,
+    tau: float,
+    omega: float,
+    migrating: bool = False,
+    carrier: float = None,
+) -> tuple:
+    """:func:`frame_spectrum` with its gradient (2,) and Hessian (2, 2) in
+    ``(tau, omega)``, as ``(value, gradient, hessian)``.
+
+    With ``s_k`` the reference interpolated with the k-th derivative taps,
+    ``phi = exp(j omega t)`` and ``kappa = t / (carrier dt)`` (0 without
+    migration), the steering and its derivatives are ``x = s0 phi``,
+    ``x_tau = -s1 phi / dt``, ``x_omega = (kappa s1 + j t s0) phi``,
+    ``x_tautau = s2 phi / dt^2``, ``x_tauomega = -(kappa s2 + j t s1) phi / dt``
+    and ``x_omegaomega = (kappa^2 s2 + 2 j t kappa s1 - t^2 s0) phi``.  Per
+    batch the six are stacked and multiplied once against ``y_c``, once
+    against ``U`` and once against the first three; the derivatives of
+    ``N / D`` with ``N = |x^H y_c|^2`` and ``D = x^H Pi x`` follow from
+    those products.  The truncated kernel's derivatives jump (by ~3e-6) where
+    the delayed positions cross whole samples.  Raises as :func:`frame_spectrum`.
+    """
+    n_lo, count = _frame_window(batches)
+    record = batches[0]
+    s0, s1, s2 = _delayed_reference(
+        record, n_lo, count, tau, omega, migrating, carrier, derivatives=True
+    )
+    dt = record.sample_interval
+    t = np.arange(n_lo, n_lo + count) * dt
+    phase = np.exp(1j * omega * t)
+    stack = np.empty((6, count), dtype=complex)  # written in place: no temporaries
+    x, x_tau, x_omega, x_tautau, x_tauomega, x_omegaomega = stack
+    np.multiply(s0, phase, out=x)
+    np.multiply(s1, phase * (-1 / dt), out=x_tau)
+    np.multiply(s2, phase * dt**-2, out=x_tautau)
+    # d/domega acts as j t (the Doppler phase) minus (t / carrier) d/dtau (the
+    # delay drift), which gives the formulas above
+    jt = 1j * t
+    for out, v, v_tau in (
+        (x_omega, x, x_tau),
+        (x_tauomega, x_tau, x_tautau),
+        (x_omegaomega, x_omega, x_tauomega),
+    ):
+        np.multiply(jt, v, out=out)
+        if migrating:
+            out -= (t / carrier) * v_tau
+    value, gradient, hessian = 0.0, np.zeros(2), np.zeros((2, 2))
+    for b, basis in zip(batches, bases):
+        v = _take(stack, n_lo, b.n_indices)
+        vh = v.conj()
+        a = vh @ basis.y_clean  # v_i^H y_c
+        c = vh @ basis.orthonormal  # (U^H v_i)^H
+        gram = vh[:3] @ v.T
+        pi = gram - c[:3] @ c.conj().T  # v_i^H Pi v_j, i < 3
+        norm2, denom = gram[0, 0].real, pi[0, 0].real
+        _check_degenerate(denom, norm2)
+        ap = a[_FIRST]
+        n_g = 2 * np.real(ap * np.conj(a[0]))
+        n_h = 2 * np.real(a[_SECOND] * np.conj(a[0]) + np.outer(ap, ap.conj()))
+        d_g = 2 * np.real(pi[0, _FIRST])
+        d_h = 2 * np.real(pi[1:3, 1:3] + pi[0, _SECOND])
+        f = abs(a[0]) ** 2 / denom
+        value += f
+        gradient += (n_g - f * d_g) / denom
+        cross = np.outer(n_g, d_g)
+        hessian += (n_h - f * d_h - (cross + cross.T - 2 * f * np.outer(d_g, d_g)) / denom) / denom
+    return value, gradient, hessian
 
 
 def default_tau_grid(record: NodeRecord, step_cells: float = 0.25) -> np.ndarray:

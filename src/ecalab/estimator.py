@@ -3,11 +3,19 @@
 Per node the spectrum is maximized over (delay, doppler); at the fusion
 level the per-node spectra are summed at the delay/Doppler pairs implied by
 a hypothesized target state and the sum is maximized over the
-four-dimensional state.  Maximization uses a Nelder-Mead simplex in scaled
-coordinates (delay in samples, Doppler in resolution cells, position in
-meters, velocity in m/s) so step sizes are comparable across components;
-hypotheses that map outside a node's supported range simply contribute
-zero.
+four-dimensional state.  Both work in scaled coordinates (delay in samples,
+Doppler in resolution cells, position in meters, velocity in m/s) so step
+sizes are comparable across components.
+
+A single node is refined by :func:`refine`, a trust-region Newton ascent on
+the closed-form gradient and Hessian of the frame spectrum
+(:func:`ecalab.eca.frame_spectrum_derivatives`); it reports ``converged``
+only where the Hessian is negative definite and the Newton step is under
+the tolerance.  The fused four-dimensional objective keeps a Nelder-Mead
+simplex (:func:`_simplex_refine`, started with ``initial_step``): a node
+whose echo is cancelled sits on its degenerate-steering boundary, where
+the hypotheses it cannot support contribute zero and the objective is not
+smooth.
 """
 
 from __future__ import annotations
@@ -24,6 +32,11 @@ from .scene import Scenario
 DEFAULT_MAX_ITERATIONS = 400
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_INITIAL_STEP = 0.25
+# Newton refinement: the trust radius at the start (scaled units), and the
+# fall of the objective, relative to its size, that is still rounding
+INITIAL_RADIUS = 1.0
+ROUNDING = 64 * np.finfo(float).eps
+UNSUPPORTED = (eca.DelayRangeError, eca.DegenerateSteeringError)
 
 
 class AllMissingError(ValueError):
@@ -52,6 +65,7 @@ class EstimateReport:
     converged: bool
     init_mode: str
     init_params: np.ndarray
+    evaluations: int = 0  # objective evaluations of the refinement
 
 
 def peak_pick(surface: eca.AmbiguitySurface) -> tuple:
@@ -64,7 +78,109 @@ def peak_pick(surface: eca.AmbiguitySurface) -> tuple:
     return float(surface.tau_grid[ti]), float(surface.omega_grid[oi])
 
 
+def _trust_region_step(gradient, hessian, radius) -> tuple:
+    """Maximizer of the model ``g.s + s.H.s / 2`` over ``||s|| <= radius``,
+    and whether it is the Newton step ``-H^-1 g``.
+
+    Off the Newton step the maximizer is ``(lam I - H)^-1 g`` on the
+    boundary, ``lam > max(0, largest eigenvalue)``; ``lam`` is bisected until
+    the step is within 10% of the radius.  Where ``g`` has (almost) no
+    component along the top eigenvector, the step falls short of the radius
+    for every ``lam``, and that eigenvector fills it out.
+    """
+    e, q = np.linalg.eigh(hessian)
+    g = q.T @ gradient
+    if e[-1] < 0:
+        step = q @ (g / -e)
+        if np.linalg.norm(step) <= radius:
+            return step, True
+    if not g.any():
+        return radius * q[:, -1], False
+    lo = max(e[-1], 0.0)
+    hi = lo + np.linalg.norm(g) / radius  # ||step(hi)|| <= radius
+    for _ in range(60):
+        step = q @ (g / (hi - e))
+        if np.linalg.norm(step) >= 0.9 * radius:
+            return step, False
+        lam = 0.5 * (lo + hi)
+        if lam == lo:
+            break
+        if np.linalg.norm(g / (lam - e)) > radius:
+            lo = lam
+        else:
+            hi = lam
+    return step + np.sqrt(radius**2 - step @ step) * q[:, -1], False
+
+
 def refine(
+    objective,
+    init_point,
+    scales,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> RefineResult:
+    """Maximize ``objective`` by trust-region Newton ascent in scaled coordinates.
+
+    ``objective(point)`` returns the value, gradient and Hessian at a point
+    in the caller's units and may raise ``DelayRangeError`` or
+    ``DegenerateSteeringError`` where the point is unsupported; the search
+    works on ``point / scales``.  Each iteration evaluates one trial step:
+    the Newton step when the Hessian is negative definite and the step fits
+    the trust radius, else the model's maximizer on the radius.  A trial is
+    accepted unless it is unsupported or lowers the value by more than the
+    objective's rounding (``64 eps |f|``).  The radius doubles after an
+    accepted boundary step that gained over 3/4 of the model's prediction,
+    and shrinks to a quarter of a step that gained under 1/4 or was
+    rejected.
+
+    The search stops once a Newton step shorter than ``tolerance`` has been
+    taken (``converged``: the Hessian was negative definite and the scaled
+    Newton step under ``tolerance``), after a rejected step shorter than
+    ``tolerance``, or after ``max_iterations`` trial steps.  An unsupported
+    start returns the start with value 0.
+    """
+    scales = np.asarray(scales, dtype=float)
+    cross = np.outer(scales, scales)
+
+    def scaled(z):
+        value, gradient, hessian = objective(z * scales)
+        return value, gradient * scales, hessian * cross
+
+    z = np.asarray(init_point, dtype=float) / scales
+    try:
+        f, g, h = scaled(z)
+    except UNSUPPORTED:
+        return RefineResult(z * scales, 0.0, 0, False, 1)
+    radius = INITIAL_RADIUS
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        step, newton = _trust_region_step(g, h, radius)
+        length = np.linalg.norm(step)
+        converged = newton and length < tolerance
+        try:
+            trial = scaled(z + step)
+        except UNSUPPORTED:
+            trial = None
+        if trial is not None and trial[0] >= f - ROUNDING * abs(f):
+            predicted = g @ step + 0.5 * step @ h @ step
+            gain = (trial[0] - f) / predicted if predicted > 0 else 0.0
+            if gain > 0.75 and length > 0.99 * radius:
+                radius *= 2.0
+            elif gain < 0.25:
+                radius = 0.25 * length
+            z = z + step
+            f, g, h = trial
+        elif length < tolerance:
+            break
+        else:
+            radius = 0.25 * length
+        if converged:
+            break
+    return RefineResult(z * scales, f, iterations, converged, iterations + 1)
+
+
+def _simplex_refine(
     objective,
     init_point,
     scales,
@@ -132,7 +248,7 @@ def node_objective(
             scenario.migration,
             scenario.nodes[k].carrier_angular_frequency,
         )
-    except (eca.DelayRangeError, eca.DegenerateSteeringError):
+    except UNSUPPORTED:
         return 0.0
 
 
@@ -213,7 +329,8 @@ def localize(
     and Doppler) or "theta" (full state via the fused objective); default is
     delay_doppler for one node.  ``init`` is "oracle_truth" (start at the
     generating truth, the convention for MSE studies) or "per_node_peaks"
-    (best-effort grid initialization).
+    (best-effort grid initialization).  A single node is refined by
+    :func:`refine`; ``initial_step`` sets the simplex of theta mode only.
     """
     if mode is None:
         mode = "delay_doppler" if scenario.n_nodes == 1 else "theta"
@@ -231,13 +348,16 @@ def localize(
         else:
             raise ValueError(f"unknown init mode {init!r}")
         scales = np.array([scenario.sample_interval, _doppler_cell(scenario)])
+        batches, bases = node_data[0]
+        carrier = scenario.nodes[0].carrier_angular_frequency
         result = refine(
-            lambda p: node_objective(scenario, node_data, 0, p[0], p[1]),
+            lambda p: eca.frame_spectrum_derivatives(
+                batches, bases, p[0], p[1], scenario.migration, carrier
+            ),
             x0,
             scales,
             max_iterations,
             tolerance,
-            initial_step,
         )
         return EstimateReport(
             mode=mode,
@@ -249,6 +369,7 @@ def localize(
             converged=result.converged,
             init_mode=init,
             init_params=x0,
+            evaluations=result.n_evaluations,
         )
 
     if mode != "theta":
@@ -264,7 +385,7 @@ def localize(
     else:
         raise ValueError(f"unknown init mode {init!r}")
     scales = np.ones(4)
-    result = refine(
+    result = _simplex_refine(
         lambda p: global_objective(scenario, node_data, p),
         x0,
         scales,
@@ -284,4 +405,5 @@ def localize(
         converged=result.converged,
         init_mode=init,
         init_params=x0,
+        evaluations=result.n_evaluations,
     )

@@ -98,7 +98,8 @@ def truth_vector(scenario: Scenario, mode: str = None) -> np.ndarray:
 
 
 def aggregate(reports: list, truth) -> dict:
-    """Per-parameter bias/MSE/RMSE over converged trials.
+    """Per-parameter bias/MSE/RMSE over converged trials, and ``mse_all``,
+    the MSE over every trial, diverged ones included.
 
     Raises when every trial diverged; otherwise reports the divergence
     count alongside the moments.
@@ -112,6 +113,7 @@ def aggregate(reports: list, truth) -> dict:
     return {
         "bias": errors.mean(axis=0),
         "mse": mse,
+        "mse_all": np.mean([np.abs(r.params - truth) ** 2 for r in reports], axis=0),
         "rmse": np.sqrt(mse),
         "trials_used": len(good),
         "divergences": len(reports) - len(good),

@@ -206,7 +206,7 @@ def test_cli_simulate_and_spectrum(tmp_path):
     assert abs(peak_tau - 5.68e-7) <= 2 / 25e6
 
 
-def test_cli_estimate_theory_sweep(tmp_path):
+def test_cli_estimate_theory_sweep(tmp_path, capsys):
     overrides = ["sampling.n_samples=256", "waveform.master_length=1024",
                  "sampling.max_delay_samples=40",
                  "truth=[{delay_s: 5.68e-7, doppler_rad_s: 3.8e6}]",
@@ -219,6 +219,7 @@ def test_cli_estimate_theory_sweep(tmp_path):
     header, rows = output.parse_csv(out / "estimates.csv")
     assert header[0] == "trial" and len(rows) == 3
     assert all(r[8] == 1 for r in rows)  # converged flag
+    assert "3 of 3 trials converged" in capsys.readouterr().out
 
     out2 = tmp_path / "theory"
     assert _run(["theory", "--config", BISTATIC, "--out", str(out2)] + flat) == 0

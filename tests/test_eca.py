@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.special import i0 as scipy_i0
+from scipy.special import i1 as scipy_i1
 
 from conftest import FS, dd_scene, doppler_cell
 from ecalab import eca, scene
@@ -451,3 +453,91 @@ def test_single_threaded_blas_sets_one_thread_and_restores():
             assert [get() for get, _ in controls] == [1] * len(controls)
             raise RuntimeError
     assert [get() for get, _ in controls] == before
+
+
+def test_interference_basis_rejects_taps_beyond_the_leading_guard():
+    scn = dd_scene(sc_var=0.0, n_samples=64, master=512, max_delay=24, taps=3, tau_cells=5.4)
+    _, records = simulate(scn)
+    with pytest.raises(ValueError, match=r"n_taps \(30\).*max_delay_samples \(24\)"):
+        interference_basis(records[0], 30)
+    assert interference_basis(records[0], 24).columns.shape == (64, 25)
+
+
+def test_kaiser_sinc_derivative_taps_match_differences():
+    w = eca.INTERP_HALFWIDTH
+    edge = w * np.sqrt(1 - 1 / eca.KAISER_BETA**2)  # where the window series takes over
+    u = np.concatenate([np.linspace(-w, w, 641), [-0.25, 0.25, 1e-9, -edge, edge]])
+    d1, d2 = eca._kaiser_sinc_derivatives(u)
+    h = 1e-6
+    inside = np.abs(u) < w - h
+    fd1 = (eca._kaiser_sinc(u[inside] + h) - eca._kaiser_sinc(u[inside] - h)) / (2 * h)
+    fd2 = (eca._kaiser_sinc_derivatives(u[inside] + h)[0]
+           - eca._kaiser_sinc_derivatives(u[inside] - h)[0]) / (2 * h)
+    assert np.max(np.abs(d1[inside] - fd1)) <= 1e-8
+    assert np.max(np.abs(d2[inside] - fd2)) <= 1e-7
+    # at |u| = W the kernel ends: one-sided second-order differences
+    h = 1e-5
+    for end in (-w, w):
+        s = np.sign(end)
+        points = np.array([end, end - s * h, end - 2 * s * h])
+        taps = eca._kaiser_sinc(points)
+        slopes = eca._kaiser_sinc_derivatives(points)[0]
+        e1, e2 = eca._kaiser_sinc_derivatives(np.array([end]))
+        assert e1[0] == pytest.approx(
+            s * (3 * taps[0] - 4 * taps[1] + taps[2]) / (2 * h), abs=1e-9
+        )
+        assert e2[0] == pytest.approx(
+            s * (3 * slopes[0] - 4 * slopes[1] + slopes[2]) / (2 * h), abs=1e-8
+        )
+    # the sinc limits at u = 0 (0 and -pi^2/3) with the window's curvature
+    zero = np.array([0.0])
+    window_curv = -(eca.KAISER_BETA / w) ** 2 * scipy_i1(eca.KAISER_BETA) / (
+        eca.KAISER_BETA * scipy_i0(eca.KAISER_BETA)
+    )
+    assert eca._kaiser_sinc_derivatives(zero)[0][0] == 0.0
+    assert eca._kaiser_sinc_derivatives(zero)[1][0] == pytest.approx(
+        -np.pi**2 / 3 + window_curv, rel=1e-14
+    )
+
+
+@pytest.mark.parametrize(
+    "m_batches, mode, migration",
+    [(1, "consecutive", False), (1, "consecutive", True),
+     (8, "sparse", False), (8, "consecutive", False)],
+)
+def test_frame_spectrum_derivatives_match_differences(m_batches, mode, migration):
+    scn = dd_scene(n_samples=512, omega_cells=5.5, m_batches=m_batches,
+                   batch_mode=mode, migration=migration)
+    _, records = simulate(scn)
+    rec = records[0]
+    carrier = scn.nodes[0].carrier_angular_frequency
+    batches = batch_split(rec, m_batches, mode)
+    bases = [interference_basis(b, scn.clutter_taps) for b in batches]
+    scales = np.array([DT, doppler_cell(scn.n_samples)])
+    # 0.21 samples off the truth keeps every delayed position (fraction
+    # 0.42-0.67 of a sample with the migrating drift) away from whole samples,
+    # where the truncated kernel's derivatives jump
+    point = np.array(rec.truth[:2]) + np.array([0.21, 0.37]) * scales
+    value, gradient, hessian = eca.frame_spectrum_derivatives(
+        batches, bases, point[0], point[1], migration, carrier
+    )
+
+    def spectrum(z):
+        tau, omega = z * scales
+        return frame_spectrum(batches, bases, tau, omega, migration, carrier)
+
+    z0 = point / scales
+    assert value == pytest.approx(spectrum(z0), rel=1e-12)
+    h = 1e-4
+    steps = h * np.eye(2)
+    fd_grad = np.array([(spectrum(z0 + e) - spectrum(z0 - e)) / (2 * h) for e in steps])
+    fd_hess = np.array([
+        [(spectrum(z0 + a + b) - spectrum(z0 + a - b) - spectrum(z0 - a + b)
+          + spectrum(z0 - a - b)) / (4 * h * h) for b in steps]
+        for a in steps
+    ])
+    scaled_grad = gradient * scales
+    scaled_hess = hessian * np.outer(scales, scales)
+    assert np.allclose(scaled_hess, scaled_hess.T, rtol=1e-12)
+    assert np.max(np.abs(scaled_grad - fd_grad)) <= 1e-6 * np.max(np.abs(fd_grad))
+    assert np.max(np.abs(scaled_hess - fd_hess)) <= 1e-6 * np.max(np.abs(fd_hess))

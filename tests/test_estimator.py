@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import FS, dd_scene, doppler_cell, multistatic_scene
-from ecalab import eca, estimator, scene
-from ecalab.estimator import AllMissingError, localize, peak_pick, refine
+from ecalab import config, eca, estimator, scene
+from ecalab.estimator import AllMissingError, _simplex_refine, localize, peak_pick, refine
 from ecalab.geometry import theta_to_delay_doppler
 
 DT = 1 / FS
@@ -20,14 +20,14 @@ def test_refine_quadratic_bowl():
     def bowl(x):
         return -np.sum((x - target) ** 2)
 
-    res = refine(bowl, np.zeros(2), scales=np.ones(2))
+    res = _simplex_refine(bowl, np.zeros(2), scales=np.ones(2))
     assert res.converged
     assert np.allclose(res.point, target, atol=1e-7)
     assert res.value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_refine_starting_at_optimum_stays():
-    res = refine(lambda x: -np.sum(x**2), np.zeros(3), scales=np.ones(3))
+    res = _simplex_refine(lambda x: -np.sum(x**2), np.zeros(3), scales=np.ones(3))
     assert res.converged
     assert np.all(np.abs(res.point) <= 1e-7)
 
@@ -40,7 +40,7 @@ def test_refine_result_never_below_init():
 
     for _ in range(10):
         x0 = rng.uniform(-3, 3, 2)
-        res = refine(rugged, x0, scales=np.ones(2))
+        res = _simplex_refine(rugged, x0, scales=np.ones(2))
         assert res.value >= rugged(x0) - 1e-12
 
 
@@ -48,9 +48,89 @@ def test_refine_respects_iteration_cap():
     def slow(x):
         return -np.sum((x - 5.0) ** 4)
 
+    res = _simplex_refine(slow, np.zeros(4), scales=np.ones(4), max_iterations=3)
+    assert not res.converged
+    assert res.iterations <= 3
+
+
+# the same four contracts for the Newton refinement, with analytic derivatives
+
+
+def test_newton_refine_quadratic_bowl():
+    target = np.array([1.5, -2.5])
+
+    def bowl(x):
+        return -np.sum((x - target) ** 2), -2 * (x - target), -2 * np.eye(2)
+
+    res = refine(bowl, np.zeros(2), scales=np.ones(2))
+    assert res.converged
+    assert np.allclose(res.point, target, atol=1e-7)
+    assert res.value == pytest.approx(0.0, abs=1e-12)
+    assert res.n_evaluations == res.iterations + 1
+
+
+def test_newton_refine_starting_at_optimum_stays():
+    res = refine(
+        lambda x: (-np.sum(x**2), -2 * x, -2 * np.eye(3)), np.zeros(3), scales=np.ones(3)
+    )
+    assert res.converged
+    assert np.all(np.abs(res.point) <= 1e-7)
+
+
+def test_newton_refine_result_never_below_init():
+    rng = np.random.default_rng(0)
+
+    def rugged(x):
+        value = float(np.sin(3 * x[0]) + np.cos(2 * x[1]) - 0.1 * np.sum(x**2))
+        gradient = np.array([3 * np.cos(3 * x[0]), -2 * np.sin(2 * x[1])]) - 0.2 * x
+        hessian = np.diag([-9 * np.sin(3 * x[0]), -4 * np.cos(2 * x[1])]) - 0.2 * np.eye(2)
+        return value, gradient, hessian
+
+    for _ in range(10):
+        x0 = rng.uniform(-3, 3, 2)
+        res = refine(rugged, x0, scales=np.ones(2))
+        assert res.value >= rugged(x0)[0] - 1e-12
+        if res.converged:
+            _, gradient, hessian = rugged(res.point)
+            assert np.all(np.linalg.eigvalsh(hessian) < 0)
+            assert np.linalg.norm(gradient) <= 1e-6
+
+
+def test_newton_refine_respects_iteration_cap():
+    def slow(x):
+        return -np.sum((x - 5.0) ** 4), -4 * (x - 5.0) ** 3, np.diag(-12 * (x - 5.0) ** 2)
+
     res = refine(slow, np.zeros(4), scales=np.ones(4), max_iterations=3)
     assert not res.converged
     assert res.iterations <= 3
+
+
+def test_newton_refine_leaves_a_saddle():
+    # zero gradient and an indefinite Hessian at the start: the step follows
+    # the direction of positive curvature to a maximum of cos(x1)
+    def saddle(x):
+        value = -x[0] ** 2 + np.cos(x[1])
+        return value, np.array([-2 * x[0], -np.sin(x[1])]), np.diag([-2.0, -np.cos(x[1])])
+
+    res = refine(saddle, np.array([0.0, np.pi]), scales=np.ones(2))
+    assert res.converged
+    assert res.value == pytest.approx(1.0, abs=1e-12)
+
+
+def test_newton_refine_treats_unsupported_trials_as_rejected():
+    # the objective is unsupported beyond x = 1; the ascent toward the
+    # bowl's center at 3 stops at the boundary without converging
+    def fenced(x):
+        if x[0] > 1.0:
+            raise eca.DelayRangeError("beyond the fence")
+        return -(x[0] - 3.0) ** 2, np.array([-2 * (x[0] - 3.0)]), np.array([[-2.0]])
+
+    res = refine(fenced, np.zeros(1), scales=np.ones(1))
+    assert not res.converged
+    assert 0.99 < res.point[0] <= 1.0
+    unsupported = refine(fenced, np.array([2.0]), scales=np.ones(1))
+    assert unsupported.value == 0.0 and not unsupported.converged
+    assert unsupported.n_evaluations == 1
 
 
 def test_peak_pick_rules():
@@ -80,6 +160,29 @@ def test_noise_free_delay_doppler_estimate_hits_truth():
     assert abs(report.params[0] - tau0) <= 1e-6 * DT
     assert abs(report.params[1] - omega0) <= 1e-6 * doppler_cell(512)
     assert report.objective >= 0
+
+
+def test_bistatic_endpoints_agree_from_three_starts():
+    # oracle start, a start 0.3 scaled units off, and the coarse-peak start
+    # reach one maximizer, certified converged
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    scn, _ = config.parse_config(os.path.join(root, "scenarios", "bistatic_example.yaml"))
+    _, records = scene.simulate(scn)
+    scales = np.array([scn.sample_interval, doppler_cell(scn.n_samples)])
+    truth = np.array(records[0].truth[:2])
+    oracle = localize(scn, records)
+    peaks = localize(scn, records, init="per_node_peaks")
+    (batches, bases), = estimator.prepare_node_data(scn, records)
+    carrier = scn.nodes[0].carrier_angular_frequency
+    shifted = refine(
+        lambda p: eca.frame_spectrum_derivatives(batches, bases, p[0], p[1], False, carrier),
+        truth + 0.3 * scales,
+        scales,
+    )
+    assert oracle.converged and oracle.evaluations <= 8
+    for other, point in ((shifted, shifted.point), (peaks, peaks.params)):
+        assert other.converged
+        assert np.all(np.abs(point - oracle.params) / scales <= 1e-12)
 
 
 def test_peak_init_matches_oracle_init_noise_free():

@@ -62,6 +62,20 @@ def test_aggregate_moments():
         aggregate([mk(truth, conv=False)], truth)
 
 
+def test_aggregate_mse_over_all_trials_counts_a_diverged_one():
+    truth = np.array([2.0, 3.0])
+    mk = lambda p, conv: estimator.EstimateReport(
+        mode="delay_doppler", params=np.asarray(p), per_node=np.asarray(p).reshape(1, 2),
+        theta=None, objective=1.0, iterations=5, converged=conv,
+        init_mode="oracle_truth", init_params=truth,
+    )
+    delta = np.array([0.5, 1.0])
+    trials = [mk(truth + delta, True), mk(truth - delta, True), mk(truth + 4 * delta, False)]
+    agg = aggregate(trials, truth)
+    assert np.allclose(agg["mse"], delta**2)
+    assert np.allclose(agg["mse_all"], (1 + 1 + 16) * delta**2 / 3)
+
+
 def test_apply_axis_semantics():
     scn = quick_scene()
     # surveillance SNR: echo magnitude moves, noise fixed
