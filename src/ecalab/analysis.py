@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from . import waveform as wfm
 from .eca import DEGENERATE_STEERING_TOL, DegenerateSteeringError, projected_power
@@ -465,7 +464,14 @@ class Ellipse:
 
 
 def confidence_ellipse(cov: np.ndarray, level: float = 0.95) -> Ellipse:
-    """Confidence ellipse of a 2x2 covariance block at the given level."""
+    """Confidence ellipse of a 2x2 covariance block at the given level.
+
+    The squared radius is the chi-square quantile with two degrees of
+    freedom, ``-2 log(1 - level)`` in closed form.  Raises ``ValueError``
+    unless ``0 < level < 1``.
+    """
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"confidence level must lie in (0, 1), got {level!r}")
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (2, 2):
         raise ValueError("covariance block must be 2x2")
@@ -477,7 +483,7 @@ def confidence_ellipse(cov: np.ndarray, level: float = 0.95) -> Ellipse:
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
-    radius2 = chi2.ppf(level, df=2)
+    radius2 = -2.0 * np.log1p(-level)
     axes = np.sqrt(radius2 * eigvals)
     orientation = float(np.arctan2(eigvecs[1, 0], eigvecs[0, 0]))
     return Ellipse(semi_axes=axes, orientation=orientation, eigenvectors=eigvecs)

@@ -21,7 +21,11 @@ the Nyquist band its relative error is below -120 dB, far under every
 tolerance used by the estimator or the statistical validation.  A delay
 that does not drift shares one set of taps over all samples; a migrating
 delay needs taps per sample, and a migrating surface computes them once per
-Doppler bin for all delay rows a whole number of samples apart.  The same
+Doppler bin for all delay rows a whole number of samples apart.  Per-sample
+taps are one product with a Chebyshev table of every tap in the fractional
+offset, fitted once at import from the Kaiser-sinc definition (which it
+matches to ~4e-15); common-offset taps are evaluated from the definition,
+and derivative taps from their closed forms.  The same
 interpolation with the taps' first and second derivatives gives the frame
 spectrum's gradient and Hessian in delay and Doppler in closed form
 (:func:`frame_spectrum_derivatives`).
@@ -41,6 +45,7 @@ from dataclasses import dataclass, replace
 from math import factorial
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebfit, chebpts1, chebvander
 from numpy.polynomial.polynomial import polyval
 from scipy.special import i0, i1
 
@@ -51,8 +56,10 @@ KAISER_BETA = 12.0
 RANK_TOL = 1e-10
 DEGENERATE_STEERING_TOL = 1e-8
 # Migrating grid rows share per-sample taps when their delays differ by whole
-# samples to within this many samples; the gathered reference of one chunk of
-# rows stays under the byte budget.
+# samples to within this many samples.  A chunk takes as many rows as a
+# gather of their reference windows, (rows, Q, 2*W) complex, would fit in the
+# byte budget; the windows are read as views, so the budget bounds the
+# chunk's (rows, Q) steering block and its products at 1/(2*W) of it.
 SHARED_TAPS_TOL = 1e-12
 GATHER_BUDGET_BYTES = 1 << 25
 
@@ -137,6 +144,19 @@ def _kaiser_sinc(offsets: np.ndarray) -> np.ndarray:
     return np.sinc(offsets) * (i0(KAISER_BETA * np.sqrt(1.0 - x * x)) / i0(KAISER_BETA))
 
 
+# Offsets of the 2*W taps from a position's fractional part f: tap k sits at
+# f - _TAP_OFFSETS[k] and multiplies reference sample floor(position) + k - W + 1.
+_TAP_OFFSETS = np.arange(-INTERP_HALFWIDTH + 1, INTERP_HALFWIDTH + 1)
+# Each tap is a smooth function of f in [0, 1); the table holds the Chebyshev
+# coefficients in 2f - 1 of all 2*W taps, fitted at the Chebyshev nodes.  It
+# reproduces _kaiser_sinc to ~4e-15 absolute over [0, 1) (degrees 16-26 all do).
+_TAP_TABLE_DEGREE = 22
+_TAP_NODES = chebpts1(_TAP_TABLE_DEGREE + 1)
+_TAP_TABLE = chebfit(
+    _TAP_NODES, _kaiser_sinc((_TAP_NODES[:, None] + 1) / 2 - _TAP_OFFSETS), _TAP_TABLE_DEGREE
+)
+
+
 # Power-series coefficients (ten terms reach double precision where they are
 # used): sinc'(u) = -pi^2 u S1(v), sinc''(u) = -pi^2 S2(v) with v = (pi u)^2,
 # for |u| < 1/4; I1(z)/z = B1(q), I2(z)/z^2 = B2(q) with q = z^2/4, for z^2 < 1.
@@ -205,17 +225,12 @@ def _check_support(lo: float, hi: float, size: int) -> None:
         )
 
 
-def _sample_offsets(positions: np.ndarray) -> tuple:
-    """Lower sample index and tap offsets, (size, 2*W), of every position."""
-    base = np.floor(positions).astype(np.int64)
-    offsets = (positions - base)[:, None] - np.arange(-INTERP_HALFWIDTH + 1, INTERP_HALFWIDTH + 1)
-    return base, offsets
-
-
 def _sample_taps(positions: np.ndarray) -> tuple:
-    """Lower sample index and Kaiser-sinc taps, (size, 2*W), of every position."""
-    base, offsets = _sample_offsets(positions)
-    return base, _kaiser_sinc(offsets)
+    """Lower sample index, fractional part and Kaiser-sinc taps, (size, 2*W),
+    of every position; the taps are one product with the tap table."""
+    base = np.floor(positions).astype(np.int64)
+    frac = positions - base
+    return base, frac, chebvander(2 * frac - 1, _TAP_TABLE_DEGREE) @ _TAP_TABLE
 
 
 def _windows(reference: np.ndarray) -> np.ndarray:
@@ -237,12 +252,16 @@ def interpolate_reference(reference: np.ndarray, positions: np.ndarray) -> np.nd
 
 
 def _interpolate(reference: np.ndarray, positions: np.ndarray, derivatives: bool) -> tuple:
-    """Per-sample interpolation at ``positions`` with each set of
-    :func:`_tap_sets`; derivative taps give derivatives in the position."""
+    """Per-sample interpolation at ``positions`` with the table taps of
+    :func:`_sample_taps`, followed when ``derivatives`` by the closed-form
+    derivative taps, which give derivatives in the position."""
     _check_support(positions.min(), positions.max(), reference.size)
-    base, offsets = _sample_offsets(positions)
+    base, frac, taps = _sample_taps(positions)
     windows = _windows(reference)[base - INTERP_HALFWIDTH + 1]
-    return [np.einsum("ij,ij->i", windows, taps) for taps in _tap_sets(offsets, derivatives)]
+    tap_sets = [taps]
+    if derivatives:
+        tap_sets += _kaiser_sinc_derivatives(frac[:, None] - _TAP_OFFSETS)
+    return [np.einsum("ij,ij->i", windows, t) for t in tap_sets]
 
 
 def interference_basis(record: NodeRecord, n_taps: int) -> InterferenceBasis:
@@ -307,7 +326,7 @@ def _delayed_reference(record, n_lo, count, tau, omega, migrating, carrier, deri
     W = INTERP_HALFWIDTH
     start = base + n_lo - W + 1
     span = record.reference[start : start + count + 2 * W - 1]
-    taps = _tap_sets((shift - base) - np.arange(-W + 1, W + 1), derivatives)
+    taps = _tap_sets((shift - base) - _TAP_OFFSETS, derivatives)
     return [np.correlate(span, t, "valid") for t in taps]
 
 
@@ -391,15 +410,31 @@ def _shared_tap_groups(delays: np.ndarray) -> list:
     return groups
 
 
+def _runs(starts: np.ndarray) -> tuple:
+    """Split ascending sample indices into runs of equal spacing.
+
+    Returns the spacing (the most frequent gap, at least 1) and the
+    ``(lo, hi)`` bounds of each run; every index whose gap from its
+    predecessor differs from the spacing begins a new run.
+    """
+    gaps = np.diff(starts)
+    values, counts = np.unique(gaps, return_counts=True)
+    step = max(int(values[counts.argmax()]), 1) if gaps.size else 1
+    bounds = np.concatenate(([0], np.flatnonzero(gaps != step) + 1, [starts.size]))
+    return step, list(zip(bounds[:-1], bounds[1:]))
+
+
 def _migrating_steering(record, tau_grid, omega, carrier):
     """Migrating steering vectors of every delay row at one Doppler, yielded
     as ``(rows, x)`` chunks with ``x`` of shape (rows, Q).
 
     Rows whose delays differ by whole samples share one set of per-sample
-    taps and only shift their gather; a chunk gathers at most
-    ``GATHER_BUDGET_BYTES`` of reference windows.  At zero Doppler the delay
-    does not drift: a group's rows share one common offset and are slices of
-    one correlation.
+    taps (from the tap table) and only shift their reference windows.  The
+    lower sample indices of the drifting positions advance by one spacing
+    except where the drift crosses a whole sample, so each row reads its
+    windows as one strided view of :func:`_windows` per run of equally spaced
+    indices, with no copy.  At zero Doppler the delay does not drift: a
+    group's rows share one common offset and are slices of one correlation.
     """
     if tau_grid.size and tau_grid.min() < 0:
         raise DelayRangeError(f"delay must be non-negative, got {tau_grid.min():.3e} s")
@@ -418,7 +453,9 @@ def _migrating_steering(record, tau_grid, omega, carrier):
             positions.min() - whole.max(), positions.max() - whole.min(), record.reference.size
         )
         if omega == 0.0:
-            (base,), (taps,) = _sample_taps(np.array([record.max_delay_samples - delays[rows[0]]]))
+            shift = record.max_delay_samples - delays[rows[0]]
+            base = int(np.floor(shift))
+            taps = _kaiser_sinc((shift - base) - _TAP_OFFSETS)
             lo = base + n[0] - whole.max() - W + 1
             span = record.reference[lo : base + n[-1] - whole.min() + W + 1]
             corr = np.correlate(span, taps, "valid")  # window starting at lo + m
@@ -426,10 +463,18 @@ def _migrating_steering(record, tau_grid, omega, carrier):
             for i in range(0, rows.size, chunk):
                 yield rows[i : i + chunk], corr[starts - whole[i : i + chunk, None]]
             continue
-        base, taps = _sample_taps(positions)
+        base, _, taps = _sample_taps(positions)
+        taps = taps.astype(complex)  # cast once here, not by einsum in every row
+        step, runs = _runs(base)
         for i in range(0, rows.size, chunk):
-            start = base - W + 1 - whole[i : i + chunk, None]
-            yield rows[i : i + chunk], np.einsum("rqt,qt->rq", windows[start], taps) * phase
+            x = np.empty((min(chunk, rows.size - i), n.size), dtype=complex)
+            for r, shift in enumerate(whole[i : i + chunk]):
+                for lo, hi in runs:
+                    start = base[lo] - W + 1 - shift
+                    view = windows[start : start + step * (hi - lo - 1) + 1 : step]
+                    np.einsum("qt,qt->q", view, taps[lo:hi], out=x[r, lo:hi])
+            x *= phase
+            yield rows[i : i + chunk], x
 
 
 def _stacked_power(x: np.ndarray, basis: InterferenceBasis) -> np.ndarray:
@@ -458,8 +503,9 @@ def spectrum_grid(
     reference slice across all Doppler bins.  With migration each Doppler
     bin takes one pass over all delays: rows whose delays differ by whole
     samples (to within ``SHARED_TAPS_TOL`` = 1e-12 samples) share one set of
-    per-sample Kaiser-sinc taps (at zero Doppler, where the delay does not
-    drift, one common-offset correlation), and the rows' steering vectors
+    per-sample Kaiser-sinc taps from the tap table (at zero Doppler, where
+    the delay does not drift, one common-offset correlation); each row reads
+    its reference windows as strided views, and the rows' steering vectors
     are evaluated together through matrix products.  Degenerate cells are
     reported as NaN.
     """

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import eca
-from .geometry import TargetParams, theta_to_delay_doppler
+from .geometry import TargetParams, doppler_from_rate, theta_to_delay_doppler
 from .scene import Scenario
 
 DEFAULT_MAX_ITERATIONS = 400
@@ -283,32 +283,44 @@ def _node_peak(scenario: Scenario, node_data, k: int) -> tuple:
 
 
 def _peaks_init_theta(scenario: Scenario, node_data, search_box) -> np.ndarray:
-    """Coarse target-state grid seeded by per-node peak cells."""
+    """Coarse target-state grid seeded by per-node peak cells.
+
+    Every state of the grid maps to per-node (delay, Doppler) pairs at once;
+    the state nearest the peaks, in samples and Doppler cells, wins, the
+    first in (x, y, vx, vy) order on a tie.  States on a node position have
+    no Doppler and infinite cost.
+    """
     peaks = np.asarray([_node_peak(scenario, node_data, k) for k in range(scenario.n_nodes)])
     (x_lo, x_hi), (y_lo, y_hi) = search_box["position"]
     (vx_lo, vx_hi), (vy_lo, vy_hi) = search_box["speed"]
     n_pos = int(search_box.get("position_points", 15))
     n_vel = int(search_box.get("speed_points", 7))
-    tau_scale = scenario.sample_interval
-    omega_scale = _doppler_cell(scenario)
-    best, best_cost = None, np.inf
-    for x in np.linspace(x_lo, x_hi, n_pos):
-        for y in np.linspace(y_lo, y_hi, n_pos):
-            for vx in np.linspace(vx_lo, vx_hi, n_vel):
-                for vy in np.linspace(vy_lo, vy_hi, n_vel):
-                    try:
-                        pairs = theta_to_delay_doppler(
-                            TargetParams(x, y, vx, vy), scenario.nodes
-                        )
-                    except ValueError:
-                        continue
-                    cost = float(
-                        np.sum(((pairs[:, 0] - peaks[:, 0]) / tau_scale) ** 2)
-                        + np.sum(((pairs[:, 1] - peaks[:, 1]) / omega_scale) ** 2)
-                    )
-                    if cost < best_cost:
-                        best, best_cost = np.array([x, y, vx, vy]), cost
-    return best
+    axes = [np.linspace(x_lo, x_hi, n_pos), np.linspace(y_lo, y_hi, n_pos)]
+    positions = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    axes = [np.linspace(vx_lo, vx_hi, n_vel), np.linspace(vy_lo, vy_hi, n_vel)]
+    velocities = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    taus = np.empty((len(positions), scenario.n_nodes))
+    omegas = np.empty((len(positions), len(velocities), scenario.n_nodes))
+    on_node = np.zeros(len(positions), dtype=bool)
+    for k, node in enumerate(scenario.nodes):
+        # the bistatic delay and its rate, as in geometry.theta_to_delay_doppler
+        to_rx = positions - node.rn_position
+        to_tx = positions - node.io_position
+        r_rx = np.linalg.norm(to_rx, axis=1)
+        r_tx = np.linalg.norm(to_tx, axis=1)
+        on_node |= (r_rx == 0.0) | (r_tx == 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            unit_sum = to_rx / r_rx[:, None] + to_tx / r_tx[:, None]
+        taus[:, k] = (r_rx + r_tx - node.baseline) / node.propagation_speed
+        rate = (unit_sum @ velocities.T) / node.propagation_speed
+        omegas[..., k] = doppler_from_rate(rate, node.carrier_angular_frequency)
+    cost = (
+        np.sum(((taus - peaks[:, 0]) / scenario.sample_interval) ** 2, axis=-1)[:, None]
+        + np.sum(((omegas - peaks[:, 1]) / _doppler_cell(scenario)) ** 2, axis=-1)
+    )
+    cost[on_node] = np.inf
+    p, v = np.unravel_index(np.argmin(cost), cost.shape)
+    return np.concatenate([positions[p], velocities[v]])
 
 
 @eca.single_threaded_blas()

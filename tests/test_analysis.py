@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -335,6 +339,34 @@ def test_confidence_ellipse_cases():
     assert abs((ell3.orientation - phi + np.pi / 2) % np.pi - np.pi / 2) <= 1e-9
     with pytest.raises(ValueError):
         confidence_ellipse(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
+
+
+@pytest.mark.parametrize("level", [0.5, 0.95, 0.99])
+def test_confidence_ellipse_radius_is_the_chi2_quantile(level):
+    from scipy.stats import chi2
+
+    ell = confidence_ellipse(np.diag([4.0, 1.0]), level)
+    want = np.sqrt(chi2.ppf(level, df=2) * np.array([4.0, 1.0]))
+    assert ell.semi_axes == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 95.0, float("nan")])
+def test_confidence_ellipse_rejects_levels_outside_the_unit_interval(level):
+    with pytest.raises(ValueError, match=f"got {level!r}"):
+        confidence_ellipse(np.eye(2), level)
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, ecalab.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
 
 
 @pytest.fixture

@@ -432,6 +432,50 @@ def test_migrating_grid_matches_per_cell_definition(small_scene, tau_step, spars
     assert np.all(np.abs(surface.values[ok] - want[ok]) <= 1e-10 * want[ok])
 
 
+def test_tap_table_matches_kaiser_sinc_definition():
+    f = np.concatenate([np.linspace(0.0, 1.0, 100_001)[:-1], [np.nextafter(1.0, 0.0)]])
+    base, frac, taps = eca._sample_taps(f)
+    assert np.all(base == 0) and np.array_equal(frac, f)
+    w = eca.INTERP_HALFWIDTH
+    want = eca._kaiser_sinc(f[:, None] - np.arange(-w + 1, w + 1))
+    assert np.max(np.abs(taps - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_migrating_grid_matches_per_sample_definition_across_whole_samples(small_scene, sparse):
+    # at +-100 Doppler cells the delay drifts by ~4 samples over the record,
+    # so the per-sample positions cross whole samples several times and each
+    # row's windows split into several runs; the 1e-3 rad/s column is
+    # degenerate at the delays 0 and 3 samples, on the interference lattice.
+    # Double-precision positions put the drifting cells up to ~4e-13 off the
+    # definition, while a tap-table column off by 1e-12 moves one of them by
+    # >= 5e-12, so their bound is 1.5e-12.  The near-zero column keeps 1e-10:
+    # next to the lattice its cleaned steering energy cancels.
+    _, records = simulate(small_scene)
+    rec = batch_split(records[0], 4, "sparse")[2] if sparse else records[0]
+    carrier = small_scene.nodes[0].carrier_angular_frequency
+    basis = interference_basis(rec, small_scene.clutter_taps)
+    cell = doppler_cell(small_scene.n_samples)
+    tau_grid = np.arange(0.0, 19.0, 0.75) * DT
+    omega_grid = np.array([-100.0 * cell, 1e-3, 61.7 * cell, 100.0 * cell])
+    drift = omega_grid[-1] / carrier * rec.n_indices[-1]
+    assert drift > 4
+    surface = spectrum_grid(rec, basis, tau_grid, omega_grid, True, carrier)
+    want = np.full(surface.values.shape, np.nan)
+    for i, tau in enumerate(tau_grid):
+        for j, omega in enumerate(omega_grid):
+            steer = _per_sample_steering(rec, tau, omega, True, carrier)
+            try:
+                want[i, j] = eca.projected_power(steer, basis.orthonormal, basis.y_clean)
+            except DegenerateSteeringError:
+                pass
+    assert np.isnan(want[[0, 4], 1]).all() and not np.isnan(want[:, [0, 2, 3]]).any()
+    assert np.array_equal(np.isnan(surface.values), np.isnan(want))
+    ok = ~np.isnan(want)
+    bound = np.array([1.5e-12, 1e-10, 1.5e-12, 1.5e-12]) * want
+    assert np.all(np.abs(surface.values - want)[ok] <= bound[ok])
+
+
 @pytest.mark.parametrize("omega_cells", [np.array([0.0, 2.0]), np.array([2.0])])
 @pytest.mark.parametrize("tau_samples", [-0.5, 26.0])
 def test_migrating_grid_rejects_unsupported_delays(small_scene, omega_cells, tau_samples):

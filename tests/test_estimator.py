@@ -345,6 +345,71 @@ def test_per_node_peaks_init_theta_mode():
     assert np.allclose(rep.params[:2], scn.target.as_vector()[:2], atol=0.1)
 
 
+def _peaks_init_loop(scenario, node_data, search_box):
+    """The grid search of ``_peaks_init_theta`` as a loop over states, which
+    skips states on a node position and keeps the first minimum."""
+    from ecalab.geometry import TargetParams
+
+    peaks = np.asarray([estimator._node_peak(scenario, node_data, k)
+                        for k in range(scenario.n_nodes)])
+    (x_lo, x_hi), (y_lo, y_hi) = search_box["position"]
+    (vx_lo, vx_hi), (vy_lo, vy_hi) = search_box["speed"]
+    n_pos = int(search_box.get("position_points", 15))
+    n_vel = int(search_box.get("speed_points", 7))
+    tau_scale = scenario.sample_interval
+    omega_scale = 2 * np.pi / (scenario.n_samples * scenario.sample_interval)
+    best, best_cost = None, np.inf
+    for x in np.linspace(x_lo, x_hi, n_pos):
+        for y in np.linspace(y_lo, y_hi, n_pos):
+            for vx in np.linspace(vx_lo, vx_hi, n_vel):
+                for vy in np.linspace(vy_lo, vy_hi, n_vel):
+                    try:
+                        pairs = theta_to_delay_doppler(TargetParams(x, y, vx, vy), scenario.nodes)
+                    except ValueError:
+                        continue
+                    cost = float(
+                        np.sum(((pairs[:, 0] - peaks[:, 0]) / tau_scale) ** 2)
+                        + np.sum(((pairs[:, 1] - peaks[:, 1]) / omega_scale) ** 2)
+                    )
+                    if cost < best_cost:
+                        best, best_cost = np.array([x, y, vx, vy]), cost
+    return best
+
+
+def test_peaks_init_theta_matches_the_state_loop():
+    # the example's box around the target, one shifted so that its grid holds
+    # the illuminator (0, 0) and one holding the receiver at (300, 300)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    scn, _ = config.parse_config(os.path.join(root, "scenarios", "multistatic_example.yaml"))
+    _, records = scene.simulate(scn)
+    node_data = estimator.prepare_node_data(scn, records)
+    speed = [[-300.0, 300.0], [-300.0, 300.0]]
+    boxes = [
+        {"position": [[-130.0, 150.0], [-120.0, 160.0]], "speed": speed},
+        {"position": [[-70.0, 70.0], [-70.0, 70.0]], "speed": [[-150.0, 450.0], [0.0, 300.0]]},
+        {"position": [[160.0, 300.0], [160.0, 300.0]], "speed": speed},
+    ]
+    for box in boxes:
+        want = _peaks_init_loop(scn, node_data, box)
+        assert np.array_equal(estimator._peaks_init_theta(scn, node_data, box), want)
+
+
+def test_peaks_init_theta_breaks_ties_like_the_state_loop(monkeypatch):
+    # receivers symmetric about the x axis that all see the same peak:
+    # mirrored states cost exactly the same, and the first in (x, y, vx, vy)
+    # order wins
+    from conftest import make_node
+
+    rns = [(-300.0, 300.0), (-300.0, -300.0), (400.0, 0.0)]
+    scn = multistatic_scene().replace(nodes=tuple(make_node(rn) for rn in rns))
+    peak = (40.0 * DT, 3.0 * doppler_cell(scn.n_samples))
+    monkeypatch.setattr(estimator, "_node_peak", lambda scenario, node_data, k: peak)
+    box = {"position": [[-100.0, 100.0], [-100.0, 100.0]], "speed": [[-300.0, 300.0]] * 2}
+    got = estimator._peaks_init_theta(scn, None, box)
+    assert got[1] < 0 and got[3] != 0  # its mirror image (y, vy) -> (-y, -vy) ties
+    assert np.array_equal(got, _peaks_init_loop(scn, None, box))
+
+
 def test_migrating_echo_estimated_exactly_where_static_fails():
     # delay drift ~2 samples across the window: the drift-aware steering
     # recovers the truth exactly; drift-blind processing misses by a sample

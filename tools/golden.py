@@ -9,8 +9,9 @@ Write the outputs of one checkout, then compare two such directories:
 holding this script) on both example scenarios: ``simulate`` (static and
 with ``migration=true``), ``spectrum`` (static and with ``migration=true``),
 ``estimate`` and ``theory``.  The bistatic example also runs ``estimate``
-and ``theory`` with ``batching.count=8`` in sparse and in consecutive mode,
-which covers the batch rule.  Each command writes into its own directory
+with ``migration=true``, whose Newton refinement interpolates the reference
+per sample, and ``estimate`` and ``theory`` with ``batching.count=8`` in
+sparse and in consecutive mode, which covers the batch rule.  Each command writes into its own directory
 under ``OUT/<scenario>/``.  The migrating surfaces use coarser grids than the
 scenario files, so that a checkout with a slow migrating grid still finishes
 in seconds; their 0.75-sample delay steps give four fractional offsets.
@@ -54,9 +55,12 @@ BATCHED = [
     for mode in ("sparse", "consecutive")
     for command, extra in [("estimate", ["estimator.trials=4"]), ("theory", [])]
 ]
+MIGRATING_ESTIMATE = [
+    ("estimate_migrating", "estimate", ["migration=true", "estimator.trials=4"]),
+]
 # scenario name: (config file, commands)
 SCENARIOS = {
-    "bistatic": ("scenarios/bistatic_example.yaml", COMMANDS + BATCHED),
+    "bistatic": ("scenarios/bistatic_example.yaml", COMMANDS + MIGRATING_ESTIMATE + BATCHED),
     "multistatic": ("scenarios/multistatic_example.yaml", COMMANDS),
 }
 
