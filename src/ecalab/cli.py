@@ -175,13 +175,10 @@ def cmd_spectrum(args) -> int:
             scenario.migration,
             scenario.nodes[k].carrier_angular_frequency,
         )
-        rows = [
-            (tau, omega, surface.values[i, j])
-            for i, tau in enumerate(tau_grid)
-            for j, omega in enumerate(omega_grid)
-        ]
+        cells = [*np.meshgrid(tau_grid, omega_grid, indexing="ij"), surface.values]
+        table = np.column_stack([c.ravel() for c in cells])
         path = os.path.join(args.out, f"surface_node{k}.csv")
-        output.emit_csv(["tau_s", "omega_rad_s", "value"], rows, path)
+        output.emit_csv(["tau_s", "omega_rad_s", "value"], table, path)
         if args.svg:
             output.emit_svg_heatmap(
                 tau_grid,

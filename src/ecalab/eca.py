@@ -28,12 +28,14 @@ matches to ~4e-15); common-offset taps are evaluated from the definition,
 and derivative taps from their closed forms.  The same
 interpolation with the taps' first and second derivatives gives the frame
 spectrum's gradient and Hessian in delay and Doppler in closed form
-(:func:`frame_spectrum_derivatives`).
+(:func:`frame_spectrum_derivatives`).  A static surface evaluates chunks of
+delay rows over all Doppler bins through products with one phase matrix.
 
 The estimator's products are small (a few thousand samples against a few
 interference columns): a second BLAS thread costs more than it saves, and
 its scheduling ties each evaluation's time to other load on the machine, so
-the estimator runs under :func:`single_threaded_blas`.
+the estimator and a migrating surface's per-bin products run under
+:func:`single_threaded_blas`; a static surface's large products do not.
 """
 
 from __future__ import annotations
@@ -424,17 +426,18 @@ def _runs(starts: np.ndarray) -> tuple:
     return step, list(zip(bounds[:-1], bounds[1:]))
 
 
-def _migrating_steering(record, tau_grid, omega, carrier):
-    """Migrating steering vectors of every delay row at one Doppler, yielded
-    as ``(rows, x)`` chunks with ``x`` of shape (rows, Q).
+def _grid_steering(record, tau_grid, omega, carrier):
+    """Migrating steering of every delay row at one Doppler (``carrier`` is
+    unused at zero Doppler), yielded as ``(rows, x)`` chunks, ``x`` (rows, Q).
 
-    Rows whose delays differ by whole samples share one set of per-sample
-    taps (from the tap table) and only shift their reference windows.  The
-    lower sample indices of the drifting positions advance by one spacing
-    except where the drift crosses a whole sample, so each row reads its
-    windows as one strided view of :func:`_windows` per run of equally spaced
-    indices, with no copy.  At zero Doppler the delay does not drift: a
-    group's rows share one common offset and are slices of one correlation.
+    Rows whose delays differ by whole samples share one set of taps and only
+    shift their reference windows.  At zero Doppler the delay does not drift:
+    a group's rows share one common offset and are slices of one correlation.
+    Otherwise the taps are per sample, from the tap table; the lower sample
+    indices of the drifting positions advance by one spacing except where
+    the drift crosses a whole sample, so each row reads its windows as one
+    strided view of :func:`_windows` per run of equally spaced indices, with
+    no copy.
     """
     if tau_grid.size and tau_grid.min() < 0:
         raise DelayRangeError(f"delay must be non-negative, got {tau_grid.min():.3e} s")
@@ -442,7 +445,7 @@ def _migrating_steering(record, tau_grid, omega, carrier):
     n = record.n_indices
     dt = record.sample_interval
     times = n * dt
-    drift = (omega / carrier) * times / dt
+    drift = (omega / carrier) * times / dt if omega else 0.0
     phase = np.exp(1j * omega * times)
     windows = _windows(record.reference)
     chunk = max(1, GATHER_BUDGET_BYTES // (windows[0].nbytes * n.size))
@@ -477,16 +480,19 @@ def _migrating_steering(record, tau_grid, omega, carrier):
             yield rows[i : i + chunk], x
 
 
+def _quotient(numer: np.ndarray, denom: np.ndarray, norm2: np.ndarray) -> np.ndarray:
+    """``numer / denom``, NaN where the steering fails the rule of :func:`projected_power`."""
+    ok = denom >= DEGENERATE_STEERING_TOL * norm2
+    return np.where(ok, numer, np.nan) / np.where(ok, denom, 1.0)
+
+
 def _stacked_power(x: np.ndarray, basis: InterferenceBasis) -> np.ndarray:
     """:func:`projected_power` of each row of ``x`` through matrix products;
     NaN where the steering is degenerate."""
     xh = x.conj()
     norm2 = np.einsum("rq,rq->r", xh, x).real
     denom = norm2 - np.sum(np.abs(xh @ basis.orthonormal) ** 2, axis=1)
-    ok = denom >= DEGENERATE_STEERING_TOL * norm2
-    values = np.full(x.shape[0], np.nan)
-    values[ok] = np.abs(xh[ok] @ basis.y_clean) ** 2 / denom[ok]
-    return values
+    return _quotient(np.abs(xh @ basis.y_clean) ** 2, denom, norm2)
 
 
 def spectrum_grid(
@@ -499,15 +505,15 @@ def spectrum_grid(
 ) -> AmbiguitySurface:
     """Spectrum over a full (delay, doppler) grid of a record and its basis.
 
-    Without migration each delay reuses one common-offset interpolated
-    reference slice across all Doppler bins.  With migration each Doppler
-    bin takes one pass over all delays: rows whose delays differ by whole
-    samples (to within ``SHARED_TAPS_TOL`` = 1e-12 samples) share one set of
-    per-sample Kaiser-sinc taps from the tap table (at zero Doppler, where
-    the delay does not drift, one common-offset correlation); each row reads
-    its reference windows as strided views, and the rows' steering vectors
-    are evaluated together through matrix products.  Degenerate cells are
-    reported as NaN.
+    Delay rows a whole number of samples apart (to within ``SHARED_TAPS_TOL``
+    = 1e-12 samples) share one set of Kaiser-sinc taps; rows come in chunks
+    under ``GATHER_BUDGET_BYTES``.  Without migration a chunk ``X`` of
+    zero-Doppler rows (slices of one correlation) and the (Q, n_omega) phase
+    matrix ``Phi = exp(j t omega)`` give ``|(X * conj(y_c)) @ Phi|^2`` over
+    ``||x||^2 - sum_l |(X * conj(u_l)) @ Phi|^2``, one product per factor.
+    With migration each Doppler bin takes one pass over all delays with
+    per-sample taps from the tap table, under :func:`single_threaded_blas`.
+    Degenerate cells are NaN, by the rule of :func:`projected_power`.
     """
     if migrating and not carrier:
         raise ValueError("migrating steering requires the carrier frequency")
@@ -515,20 +521,17 @@ def spectrum_grid(
     omega_grid = np.asarray(omega_grid, dtype=float)
     values = np.full((tau_grid.size, omega_grid.size), np.nan)
     if migrating:
-        for j, omega in enumerate(omega_grid):
-            for rows, x in _migrating_steering(record, tau_grid, omega, carrier):
-                values[rows, j] = _stacked_power(x, basis)
+        with single_threaded_blas():
+            for j, omega in enumerate(omega_grid):
+                for rows, x in _grid_steering(record, tau_grid, omega, carrier):
+                    values[rows, j] = _stacked_power(x, basis)
         return AmbiguitySurface(tau_grid, omega_grid, values, record.node_index)
-    uh, y_clean = basis.orthonormal.conj().T, basis.y_clean
     phases = np.exp(1j * np.outer(record.times, omega_grid))  # (Q, n_omega)
-    for i, tau in enumerate(tau_grid):
-        xi = rc_steering(record, tau, 0.0)
-        norm2 = float(np.real(xi.conj() @ xi))
-        numer = np.abs((xi.conj() * y_clean) @ phases.conj()) ** 2
-        proj = (uh * xi[None, :]) @ phases  # (L+1, n_omega)
-        denom = norm2 - np.sum(np.abs(proj) ** 2, axis=0)
-        ok = denom > DEGENERATE_STEERING_TOL * norm2
-        values[i, ok] = numer[ok] / denom[ok]
+    yh, uh = basis.y_clean.conj(), basis.orthonormal.conj().T
+    for rows, x in _grid_steering(record, tau_grid, 0.0, carrier):
+        norm2 = np.einsum("rq,rq->r", x.conj(), x).real[:, None]
+        denom = norm2 - sum(np.abs((x * u) @ phases) ** 2 for u in uh)
+        values[rows] = _quotient(np.abs((x * yh) @ phases) ** 2, denom, norm2)
     return AmbiguitySurface(tau_grid, omega_grid, values, record.node_index)
 
 

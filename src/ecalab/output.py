@@ -29,17 +29,31 @@ def format_value(value) -> str:
     return str(value)
 
 
+CSV_BLOCK_ROWS = 4096
+
+
 def emit_csv(header: list, rows, path):
-    """Write a rectangular table; header first, LF endings, deterministic."""
+    """Write a rectangular table; header first, LF endings, deterministic.
+
+    A 2-D float array ``rows`` is written in blocks of ``CSV_BLOCK_ROWS`` rows,
+    one ``"%.17g"`` template each, in the bytes of :func:`format_value`."""
     header = [str(h) for h in header]
     lines = [",".join(header)]
-    for row in rows:
-        cells = [format_value(v) for v in row]
-        if len(cells) != len(header):
-            raise ValueError(
-                f"row width {len(cells)} does not match header width {len(header)}"
-            )
-        lines.append(",".join(cells))
+    if isinstance(rows, np.ndarray):
+        if rows.ndim != 2 or rows.shape[1] != len(header):
+            raise ValueError(f"table shape {rows.shape} does not match header width {len(header)}")
+        row = ",".join(["%.17g"] * len(header))
+        for lo in range(0, rows.shape[0], CSV_BLOCK_ROWS):
+            block = rows[lo : lo + CSV_BLOCK_ROWS].astype(float)
+            lines.append("\n".join([row] * block.shape[0]) % tuple(block.ravel().tolist()))
+    else:
+        for row in rows:
+            cells = [format_value(v) for v in row]
+            if len(cells) != len(header):
+                raise ValueError(
+                    f"row width {len(cells)} does not match header width {len(header)}"
+                )
+            lines.append(",".join(cells))
     data = "\n".join(lines) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(data)

@@ -149,6 +149,28 @@ def test_csv_round_trip_and_determinism(tmp_path):
         output.emit_csv(["x"], [(1, 2)], path)
 
 
+def test_csv_array_path_writes_the_per_cell_bytes(tmp_path):
+    specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 2.0, -7.0]
+    rng = np.random.default_rng(3)
+    n_rows = output.CSV_BLOCK_ROWS + 100  # a full block and a partial one
+    table = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-300, 300, (n_rows, 3))
+    table.ravel()[: len(specials)] = specials
+    table.ravel()[-len(specials):] = specials
+    table[5] = [1.0, 1e16, 123.0]
+    header = ["tau_s", "omega_rad_s", "value"]
+    output.emit_csv(header, table, tmp_path / "array.csv")
+    output.emit_csv(header, [tuple(row) for row in table], tmp_path / "cells.csv")
+    data = (tmp_path / "array.csv").read_bytes()
+    assert data == (tmp_path / "cells.csv").read_bytes()
+    assert data.count(b"\n") == n_rows + 1
+    assert data.startswith(b"tau_s,omega_rad_s,value\nnan,inf,-inf\n-0,")
+    output.emit_csv(header, np.zeros((0, 3)), tmp_path / "empty.csv")
+    assert (tmp_path / "empty.csv").read_text() == "tau_s,omega_rad_s,value\n"
+    for bad in (np.zeros(3), np.zeros((2, 2))):
+        with pytest.raises(ValueError):
+            output.emit_csv(header, bad, tmp_path / "bad.csv")
+
+
 def test_svg_curves(tmp_path):
     path = tmp_path / "plot.svg"
     series = [{"label": "mse", "x": [0.0, 1.0], "y": [1.0, 0.1]}]

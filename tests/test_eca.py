@@ -432,6 +432,44 @@ def test_migrating_grid_matches_per_cell_definition(small_scene, tau_step, spars
     assert np.all(np.abs(surface.values[ok] - want[ok]) <= 1e-10 * want[ok])
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+def test_static_grid_matches_per_cell_definition(small_scene, sparse, monkeypatch):
+    # 0.3-sample rows fall in ten tap groups, and the gather budget holds five
+    # rows, so groups span several chunks; the Doppler bins are not uniform.
+    # At zero Doppler the delays on the interference lattice (0..3 samples)
+    # are degenerate.  No carrier: a static grid does not need one.
+    _, records = simulate(small_scene)
+    rec = batch_split(records[0], 4, "sparse")[1] if sparse else records[0]
+    monkeypatch.setattr(eca, "GATHER_BUDGET_BYTES", 5 * 32 * 16 * rec.n_indices.size)
+    basis = interference_basis(rec, small_scene.clutter_taps)
+    tau_grid = np.arange(0.0, 21.0, 0.3) * DT
+    omega_grid = np.array([-7.5, -1.0, 0.0, 0.4, 2.2, 9.05]) * doppler_cell(small_scene.n_samples)
+    surface = spectrum_grid(rec, basis, tau_grid, omega_grid, carrier=None)
+    want = np.full(surface.values.shape, np.nan)
+    for i, tau in enumerate(tau_grid):
+        for j, omega in enumerate(omega_grid):
+            steer = rc_steering(rec, tau, omega)
+            try:
+                want[i, j] = eca.projected_power(steer, basis.orthonormal, basis.y_clean)
+            except DegenerateSteeringError:
+                pass
+    assert np.isnan(want[[0, 10], 2]).all() and not np.isnan(want[:, [0, 4]]).any()
+    assert np.array_equal(np.isnan(surface.values), np.isnan(want))
+    ok = ~np.isnan(want)
+    assert np.all(np.abs(surface.values[ok] - want[ok]) <= 1e-10 * want[ok])
+
+
+@pytest.mark.parametrize("tau_samples", [-0.5, 26.0])
+def test_static_grid_rejects_unsupported_delays(small_scene, tau_samples):
+    _, records = simulate(small_scene)
+    rec = records[0]
+    basis = interference_basis(rec, small_scene.clutter_taps)
+    tau_grid = np.array([5.0, tau_samples]) * DT
+    omega_grid = np.array([0.0, 2.0]) * doppler_cell(small_scene.n_samples)
+    with pytest.raises(DelayRangeError):
+        spectrum_grid(rec, basis, tau_grid, omega_grid)
+
+
 def test_tap_table_matches_kaiser_sinc_definition():
     f = np.concatenate([np.linspace(0.0, 1.0, 100_001)[:-1], [np.nextafter(1.0, 0.0)]])
     base, frac, taps = eca._sample_taps(f)
