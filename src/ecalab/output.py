@@ -212,17 +212,18 @@ def emit_svg_heatmap(
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
-    for i in range(n_tau):
-        for j in range(n_omega):
-            v = values[i, j]
-            if not np.isfinite(v):
-                continue
-            level = int(round(255 * (1.0 - (v - lo) / (hi - lo))))
-            parts.append(
-                f'<rect x="{margin + i * cw:.2f}" y="{height - margin - (j + 1) * ch:.2f}" '
-                f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" '
-                f'fill="rgb({level},{level},{level})"/>'
-            )
+    # finite cells in row-major order, one (x, y, level x3) row each, written
+    # in blocks of CSV_BLOCK_ROWS through one template
+    i, j = np.nonzero(np.isfinite(values))
+    level = np.rint(255 * (1.0 - (values[i, j] - lo) / (hi - lo)))
+    cells = np.column_stack([margin + i * cw, height - margin - (j + 1) * ch, level, level, level])
+    rect = (
+        f'<rect x="%.2f" y="%.2f" width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" '
+        'fill="rgb(%d,%d,%d)"/>'
+    )
+    for start in range(0, cells.shape[0], CSV_BLOCK_ROWS):
+        block = cells[start : start + CSV_BLOCK_ROWS]
+        parts.append("\n".join([rect] * block.shape[0]) % tuple(block.ravel().tolist()))
     parts.append(
         f'<rect x="{margin}" y="{margin}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="black"/>'

@@ -11,8 +11,10 @@ simulation/theory side of the laboratory.
 Evaluation picks the cheapest exact path available: direct indexing of the
 cached time series for on-lattice times, one phase-shifted inverse FFT for a
 common fractional offset (offsets compared modulo 1, to within 1e-9
-samples), and for arbitrary time sets (range migration) a sum over the bins
-whose exponentials factor into two small tables per time.
+samples), a chirp-z transform for times on an arithmetic progression
+``t0 + n*step`` (range migration: every shipped migrating time set), and for
+any other time set a sum over the bins whose exponentials factor into two
+small tables per time.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ import numpy as np
 # Sample positions within this many samples of a common fractional offset
 # (or of the lattice) share it: rounding-level, so every sample stays exact.
 _LATTICE_TOL = 1e-9
+# Times within this many ulps (of the largest |t|) of t[0] + n*step form a
+# progression; the rounding of a caller's n*dt - tau + c*n*dt stays under 4.
+_PROGRESSION_ULPS = 8
 # Width of the inner exponential table of the bin sum.
 _BIN_BLOCK = 64
 
@@ -117,7 +122,13 @@ def _check_window(wf: MasterWaveform, eval_times: np.ndarray):
 
 
 def _eval_times(wf: MasterWaveform, eval_times: np.ndarray, derivative: bool) -> np.ndarray:
-    """Exact waveform (or its time derivative) at arbitrary times."""
+    """Exact waveform (or its time derivative) at arbitrary times.
+
+    Lattice times gather the cached series; times sharing one fractional
+    offset take one inverse FFT; times on an arithmetic progression (to
+    within ``_PROGRESSION_ULPS``) take :func:`_chirp_z`; only other time sets
+    fall back to :func:`_bin_sum`.
+    """
     eval_times = np.asarray(eval_times, dtype=float)
     _check_window(wf, eval_times)
     pos = eval_times * wf.sample_rate
@@ -137,24 +148,78 @@ def _eval_times(wf: MasterWaveform, eval_times: np.ndarray, derivative: bool) ->
         shift = np.exp(2j * np.pi * wf.bin_frequencies * frac / wf.sample_rate)
         series = np.sqrt(wf.master_length) * np.fft.ifft(spec * shift)
         return series[nearest.astype(np.int64) % wf.master_length]
+    step = (eval_times[-1] - eval_times[0]) / (eval_times.size - 1)
+    fit = eval_times[0] + step * np.arange(eval_times.size)
+    ulp = np.spacing(np.max(np.abs(eval_times)))
+    if np.max(np.abs(eval_times - fit)) <= _PROGRESSION_ULPS * ulp:
+        return _chirp_z(wf, eval_times[0], step, eval_times.size, derivative)
     return _bin_sum(wf, eval_times, derivative)
+
+
+def _nonzero_bins(wf: MasterWaveform, derivative: bool):
+    """Integer indices of the nonzero bins and their amplitudes, times
+    ``2j*pi*f`` for the time derivative."""
+    nonzero = np.flatnonzero(wf.bin_amplitudes)
+    freqs = wf.bin_frequencies[nonzero]
+    amps = wf.bin_amplitudes[nonzero]
+    if derivative:
+        amps = amps * (2j * np.pi * freqs)
+    return np.rint(freqs / wf.bin_frequencies[1]).astype(np.int64), amps
+
+
+def _chirp_z(wf: MasterWaveform, t0: float, step: float, n: int, derivative: bool) -> np.ndarray:
+    """The bin sum at ``t0 + i*step``, ``i < n``, as a chirp-z transform.
+
+    In samples the times are ``u0 + i*r``; with ``M`` the master length and
+    ``K`` the span of nonzero bins, bin ``j = k0 + k`` turns by
+    ``j*u0/M + k0*i*r/M + k*i*r/M``, and ``k*i = (k^2 + i^2 - (i-k)^2) / 2``
+    turns the last term into a convolution with the chirp
+    ``c_m = r*m^2 / (2M)`` (Bluestein): three FFTs of a power-of-two length
+    ``>= K + n - 1``.  Every phase splits off an exact integer part, taken
+    modulo the period in integers (``p = round(r)``, ``i0 = round(u0)``), so
+    only ``r - p``, ``u0 - i0`` and other small remainders meet floating
+    point.  The result is the sum at the progression itself, within ~1e-15 of
+    it for steps near a whole number of samples (every migrating caller); it
+    differs from the sum at a caller's rounded times only by their few-ulp
+    deviation from the progression.
+    """
+    m_len = wf.master_length
+    j, amps = _nonzero_bins(wf, derivative)
+    k0 = int(j.min())
+    n_bins = int(j.max()) - k0 + 1
+    u0, r = t0 * wf.sample_rate, step * wf.sample_rate
+    i0, p = int(np.rint(u0)), int(np.rint(r))
+    msq = np.arange(max(n_bins, n)) ** 2
+    chirp = (p * (msq % (2 * m_len))) % (2 * m_len) / (2 * m_len) + (r - p) / (2 * m_len) * msq
+    length = 1 << (n_bins + n - 2).bit_length()
+    k = j - k0
+    x = np.zeros(length, dtype=complex)
+    x[k] = amps * np.exp(
+        2j * np.pi * ((j * i0) % m_len / m_len + (u0 - i0) / m_len * j + chirp[k])
+    )
+    conj_chirp = np.exp(-2j * np.pi * chirp)
+    kernel = np.zeros(length, dtype=complex)
+    kernel[:n] = conj_chirp[:n]
+    kernel[length - n_bins + 1 :] = conj_chirp[n_bins - 1 : 0 : -1]
+    conv = np.fft.ifft(np.fft.fft(x) * np.fft.fft(kernel))[:n]
+    i = np.arange(n)
+    post = chirp[:n] + (k0 * p * i) % m_len / m_len + k0 * (r - p) / m_len * i
+    return conv * np.exp(2j * np.pi * post) / np.sqrt(m_len)
 
 
 def _bin_sum(wf: MasterWaveform, eval_times: np.ndarray, derivative: bool) -> np.ndarray:
     """Direct sum over the nonzero bins at arbitrary times.
+
+    Serves only time sets that are neither on the lattice, at a common
+    offset, nor an arithmetic progression; no shipped command reaches it.
 
     Bin ``k = k0 + B*a + b`` (``0 <= b < B``) factors its exponential as
     ``E_a(t) * F_b(t)``, so each chunk of times takes ``B + n_a``
     exponentials per time, one (times x B) @ (B x n_a) product and a
     row-wise dot, instead of one exponential per time and bin.
     """
-    nonzero = wf.bin_amplitudes != 0
-    freqs = wf.bin_frequencies[nonzero]
-    amps = wf.bin_amplitudes[nonzero]
-    if derivative:
-        amps = amps * (2j * np.pi * freqs)
+    k, amps = _nonzero_bins(wf, derivative)
     df = wf.bin_frequencies[1]
-    k = np.rint(freqs / df).astype(np.int64)
     a, b = np.divmod(k - k.min(), _BIN_BLOCK)
     table = np.zeros((_BIN_BLOCK, a.max() + 1), dtype=complex)
     table[b, a] = amps

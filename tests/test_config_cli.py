@@ -122,6 +122,30 @@ def test_example_scenarios_parse():
         assert scn.n_nodes >= 1
 
 
+@pytest.mark.parametrize("path", [BISTATIC, MULTI])
+def test_libyaml_and_python_loaders_build_equal_configs(path, monkeypatch):
+    from ecalab import config
+
+    # the file and a flow-style --set value; repr tells 1 from 1.0
+    overrides = ["estimator.trials=3", "grids.tau_step_cells=0.5", "geometry.io_position=[1, 2.5]"]
+    trees = []
+    for loader in [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else []):
+        monkeypatch.setattr(config, "_LOADER", loader)
+        trees.append(repr(parse_config(path, overrides)[1]))
+    assert trees[0] == trees[-1]
+
+
+def test_malformed_scenario_file_names_its_path(tmp_path):
+    bad = tmp_path / "broken.yaml"
+    bad.write_text("waveform: [1, 2\nseed: :\n")
+    with pytest.raises(ConfigError, match="broken.yaml"):
+        parse_config(bad)
+    bad.write_text("- just\n- a list\n")
+    with pytest.raises(ConfigError, match="broken.yaml.*key-value tree"):
+        parse_config(bad)
+    assert cli.main(["theory", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+
 def test_seed_derivation_stable():
     assert derive_seed(5, "noise", 0, 3, "sc") == derive_seed(5, "noise", 0, 3, "sc")
     assert derive_seed(5, "noise", 0, 3, "sc") != derive_seed(5, "noise", 0, 3, "rc")
@@ -169,6 +193,77 @@ def test_csv_array_path_writes_the_per_cell_bytes(tmp_path):
     for bad in (np.zeros(3), np.zeros((2, 2))):
         with pytest.raises(ValueError):
             output.emit_csv(header, bad, tmp_path / "bad.csv")
+
+
+def _loop_svg_heatmap(tau_grid, omega_grid, values, path, width=720, height=540):
+    """The per-cell heatmap writer the array version replaced (reference)."""
+    values = np.asarray(values, dtype=float)
+    margin = 60
+    plot_w = width - 2 * margin
+    plot_h = height - 2 * margin
+    finite = values[np.isfinite(values)]
+    lo = float(finite.min()) if finite.size else 0.0
+    hi = float(finite.max()) if finite.size else 1.0
+    if hi == lo:
+        hi = lo + 1.0
+    n_tau, n_omega = values.shape
+    cw = plot_w / n_tau
+    ch = plot_h / n_omega
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+    ]
+    for i in range(n_tau):
+        for j in range(n_omega):
+            v = values[i, j]
+            if not np.isfinite(v):
+                continue
+            level = int(round(255 * (1.0 - (v - lo) / (hi - lo))))
+            parts.append(
+                f'<rect x="{margin + i * cw:.2f}" y="{height - margin - (j + 1) * ch:.2f}" '
+                f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" '
+                f'fill="rgb({level},{level},{level})"/>'
+            )
+    parts.append(
+        f'<rect x="{margin}" y="{margin}" width="{plot_w}" height="{plot_h}" '
+        f'fill="none" stroke="black"/>'
+    )
+    parts.append(
+        f'<text x="{width / 2:.1f}" y="{height - 16}" text-anchor="middle" '
+        f'font-size="12">delay (s): {tau_grid[0]:.4g} .. {tau_grid[-1]:.4g}</text>'
+    )
+    parts.append(
+        f'<text x="18" y="{height / 2:.1f}" text-anchor="middle" font-size="12" '
+        f'transform="rotate(-90 18 {height / 2:.1f})">doppler (rad/s): '
+        f"{omega_grid[0]:.4g} .. {omega_grid[-1]:.4g}</text>"
+    )
+    parts.append("</svg>")
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(parts) + "\n")
+
+
+def test_svg_heatmap_matches_the_per_cell_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    surface = rng.gamma(2.0, 3.0, (193, 37))
+    surface[5, :7] = np.nan
+    surface[100, 20] = np.inf
+    cases = [
+        surface,
+        np.arange(511.0).reshape(73, 7),  # levels 255 - v/2: near-ties
+        np.full((4, 3), 2.5),  # constant: hi == lo
+        np.where(np.eye(6, 5) > 0, np.nan, 1.0),  # constant apart from NaN cells
+        np.full((3, 2), np.nan),  # nothing finite
+        rng.standard_normal((5000, 1)),  # more cells than one block
+        rng.uniform(-1, 1, (1, 1)),
+    ]
+    for values in cases:
+        tau = np.linspace(1e-7, 9e-7, values.shape[0])
+        omega = np.linspace(-3e5, 3e5, values.shape[1])
+        for size in ((720, 540), (333, 211)):
+            output.emit_svg_heatmap(tau, omega, values, tmp_path / "a.svg", *size)
+            _loop_svg_heatmap(tau, omega, values, tmp_path / "b.svg", *size)
+            assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
 
 
 def test_svg_curves(tmp_path):

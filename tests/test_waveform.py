@@ -1,11 +1,16 @@
+import os
+
 import numpy as np
 import pytest
 
+from ecalab import analysis, cli, config, scene
 from ecalab import waveform as wfm
 from ecalab.waveform import SteeringRequest, WindowOverrunError
 
 FS = 25e6
 DT = 1 / FS
+CARRIER = 2 * np.pi * 600e6
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
 def test_generation_rejects_bad_band():
@@ -87,7 +92,7 @@ def test_window_overrun_detected():
     times = np.arange(400) * DT
     with pytest.raises(WindowOverrunError):
         wfm.evaluate(wf, SteeringRequest(delay=0.0, doppler=0.0, times=times))
-    # the same times on the bin-sum path (migrating delay)
+    # the same times on the chirp-z path (migrating delay)
     with pytest.raises(WindowOverrunError):
         wfm.evaluate(wf, SteeringRequest(delay=2.3 * DT, doppler=3e6, times=times,
                                          migrating=True, carrier=2 * np.pi * 600e6))
@@ -112,6 +117,113 @@ def test_bin_sum_matches_direct_sum(master, derivative):
     got = wfm._bin_sum(wf, times, derivative)
     want = _direct_bin_sum(wf, times, derivative)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _migrating_times(n, tau, doppler, times=None):
+    """A caller's migrating delayed times, rounded as ``_delayed_times`` rounds them."""
+    req = SteeringRequest(delay=tau, doppler=doppler, times=np.arange(n) * DT if times is None
+                          else times, migrating=True, carrier=CARRIER)
+    return wfm._delayed_times(req)
+
+
+@pytest.mark.parametrize("derivative", [False, True])
+@pytest.mark.parametrize("doppler", [7.15e5, -7.15e5, 3e6, -3e6])
+@pytest.mark.parametrize("n, master", [(1024, 4096), (2048, 8192)])
+def test_progression_path_matches_direct_sum(n, master, doppler, derivative):
+    wf = wfm.generate(11, 16e6, FS, master)
+    full = np.arange(n) * DT
+    # whole window, a sparse 8-batch and a consecutive 8-batch, as callers slice them
+    for times in (full, full[3::8], full[3 * n // 8 : 4 * n // 8]):
+        t = _migrating_times(n, 23.37 * DT, doppler, times)
+        got = wfm._eval_times(wf, t, derivative)
+        want = _direct_bin_sum(wf, t, derivative)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("derivative", [False, True])
+@pytest.mark.parametrize("step", [1 + 2.0**-12, 1 - 2.0**-12, 8 + 2.0**-9])
+def test_chirp_z_is_exact_on_a_dyadic_progression(step, derivative):
+    # a power-of-two sample rate and dyadic u0 and step keep every sample
+    # position j*(u0 + n*step) exact, so the reference's phases are exact
+    # turns; a chirp whose large phase r*m^2/(2M) met floating point whole
+    # would be off by ~5e-13
+    rate = 2.0**24
+    wf = wfm.generate(47, 0.64 * rate, rate, 8192)
+    u = -23.375 + step * np.arange(2048 if step < 2 else 512)
+    j = np.rint(wf.bin_frequencies / wf.bin_frequencies[1])[wf.bin_amplitudes != 0]
+    amps = wf.bin_amplitudes[wf.bin_amplitudes != 0]
+    if derivative:
+        amps = amps * (2j * np.pi * j * rate / 8192)
+    want = np.concatenate([
+        np.exp(2j * np.pi * (np.outer(u[i : i + 256], j) % 8192 / 8192)) @ amps
+        for i in range(0, u.size, 256)
+    ]) / np.sqrt(8192)
+    got = wfm._eval_times(wf, u / rate, derivative)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_progression_path_at_batched_size():
+    # criterion 7's size: the progression is evaluated to ~1e-15, and the
+    # caller's times deviate from it by ~0.6 ulp rms; measured 7.1e-13 to
+    # 1.8e-12 relative over +-7.15e5 and +-3e6 rad/s, value and derivative.
+    # The reference takes every 8th time, to keep the direct sum small.
+    wf = wfm.generate(11, 16e6, FS, 32768)
+    t = _migrating_times(8192, 23.37 * DT, 7.15e5)
+    for derivative in (False, True):
+        got = wfm._eval_times(wf, t, derivative)[::8]
+        want = _direct_bin_sum(wf, t[::8], derivative)
+        assert np.linalg.norm(got - want) <= 3e-12 * np.linalg.norm(want)
+
+
+def test_progression_test_is_ulp_level(monkeypatch):
+    wf = wfm.generate(43, 16e6, FS, 4096)
+    t = _migrating_times(512, 7.3 * DT, 2e6)
+    calls = []
+    reference = wfm._bin_sum
+    monkeypatch.setattr(wfm, "_bin_sum", lambda *args: calls.append(args) or reference(*args))
+    wfm._eval_times(wf, t, False)
+    assert calls == []
+    # one time moved by 1e-6 samples leaves the progression
+    bent = t.copy()
+    bent[200] += 1e-6 * DT
+    got = wfm._eval_times(wf, bent, False)
+    assert len(calls) == 1
+    want = _direct_bin_sum(wf, bent, False)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("name", ["bistatic", "multistatic"])
+def test_shipped_migrating_commands_skip_the_bin_sum(name, monkeypatch, tmp_path):
+    path = os.path.join(SCENARIOS, f"{name}_example.yaml")
+    reference = wfm._bin_sum
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return reference(*args)
+
+    monkeypatch.setattr(wfm, "_bin_sum", spy)
+    runs = [
+        ("simulate", []),
+        ("theory", []),
+        ("theory", ["batching.count=8", "batching.mode=sparse"]),
+        ("theory", ["batching.count=8", "batching.mode=consecutive"]),
+    ]
+    for i, (command, extra) in enumerate(runs):
+        argv = [command, "--config", path, "--out", str(tmp_path / str(i)), "--set", "migration=true"]
+        for item in extra:
+            argv += ["--set", item]
+        assert cli.main(argv) == 0
+    scn, _ = config.parse_config(path, ["migration=true"])
+    objective = analysis.noise_free_objective(scn)
+    if scn.n_nodes == 1:
+        assert objective(scene.node_truth(scn, 0)) > 0
+    else:
+        assert objective(scn.target.as_vector()) > 0
+    assert calls == []
+    # the spy sees a time set that is no progression
+    wfm._eval_times(scene.scenario_waveform(scn), np.array([0.0, 1.5, 2.25]) * DT, False)
+    assert len(calls) == 1
 
 
 def test_common_offset_wraps_modulo_one(monkeypatch):

@@ -10,11 +10,13 @@ holding this script) on both example scenarios: ``simulate`` (static and
 with ``migration=true``), ``spectrum`` (static and with ``migration=true``),
 ``estimate`` and ``theory``.  The bistatic example also runs ``estimate``
 with ``migration=true``, whose Newton refinement interpolates the reference
-per sample, and ``estimate`` and ``theory`` with ``batching.count=8`` in
-sparse and in consecutive mode, which covers the batch rule.  Each command writes into its own directory
-under ``OUT/<scenario>/``.  The migrating surfaces use coarser grids than the
-scenario files, so that a checkout with a slow migrating grid still finishes
-in seconds; their 0.75-sample delay steps give four fractional offsets.
+per sample, ``theory`` with ``migration=true``, whose Jacobian takes the
+waveform's migrating time derivative, and ``estimate`` and ``theory`` with
+``batching.count=8`` in sparse and in consecutive mode, which covers the batch
+rule.  Each command writes into its own directory under ``OUT/<scenario>/``.
+The migrating surfaces use coarser grids than the scenario files, so that a
+checkout with a slow migrating grid still finishes in seconds; their
+0.75-sample delay steps give four fractional offsets.
 
 ``compare`` reads every CSV under OUT_A and its namesake under OUT_B and
 prints, per file, the largest relative deviation ``|a - b| / max(|a|, |b|)``
@@ -55,12 +57,13 @@ BATCHED = [
     for mode in ("sparse", "consecutive")
     for command, extra in [("estimate", ["estimator.trials=4"]), ("theory", [])]
 ]
-MIGRATING_ESTIMATE = [
+MIGRATING = [
     ("estimate_migrating", "estimate", ["migration=true", "estimator.trials=4"]),
+    ("theory_migrating", "theory", ["migration=true"]),
 ]
 # scenario name: (config file, commands)
 SCENARIOS = {
-    "bistatic": ("scenarios/bistatic_example.yaml", COMMANDS + MIGRATING_ESTIMATE + BATCHED),
+    "bistatic": ("scenarios/bistatic_example.yaml", COMMANDS + MIGRATING + BATCHED),
     "multistatic": ("scenarios/multistatic_example.yaml", COMMANDS),
 }
 
